@@ -17,7 +17,7 @@
 #include <cstring>
 #include <fstream>
 
-#include "artemis/autotune/tuning_cache.hpp"
+#include "artemis/autotune/search.hpp"
 #include "artemis/common/json.hpp"
 #include "artemis/common/str.hpp"
 #include "artemis/common/table.hpp"

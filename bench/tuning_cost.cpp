@@ -9,7 +9,6 @@
 #include <thread>
 
 #include "artemis/autotune/search.hpp"
-#include "artemis/autotune/tuning_cache.hpp"
 #include "artemis/codegen/plan_builder.hpp"
 #include "artemis/common/str.hpp"
 #include "artemis/common/table.hpp"

@@ -5,8 +5,8 @@
 #include <numeric>
 #include <optional>
 #include <set>
+#include <sstream>
 
-#include "artemis/autotune/tuning_cache.hpp"
 #include "artemis/common/check.hpp"
 #include "artemis/common/parallel.hpp"
 #include "artemis/common/rng.hpp"
@@ -16,6 +16,36 @@
 #include "artemis/telemetry/telemetry.hpp"
 
 namespace artemis::autotune {
+
+namespace {
+
+/// serialize_config's tiling spelling, shorter than codegen::tiling_name.
+/// Journal keys and stored plan records carry it, so it must not change.
+const char* tiling_key(codegen::TilingScheme t) {
+  switch (t) {
+    case codegen::TilingScheme::Spatial3D: return "spatial";
+    case codegen::TilingScheme::StreamSerial: return "stream";
+    case codegen::TilingScheme::StreamConcurrent: return "stream-conc";
+  }
+  return "?";
+}
+
+}  // namespace
+
+std::string serialize_config(const codegen::KernelConfig& cfg) {
+  std::ostringstream os;
+  os << "block=" << cfg.block[0] << "," << cfg.block[1] << "," << cfg.block[2]
+     << " unroll=" << cfg.unroll[0] << "," << cfg.unroll[1] << ","
+     << cfg.unroll[2] << " tiling=" << tiling_key(cfg.tiling)
+     << " axis=" << cfg.stream_axis << " chunk=" << cfg.stream_chunk
+     << " persp=" << codegen::perspective_name(cfg.perspective)
+     << " dist=" << codegen::unroll_strategy_name(cfg.unroll_strategy)
+     << " prefetch=" << (cfg.prefetch ? 1 : 0)
+     << " retime=" << (cfg.retime ? 1 : 0) << " fold=" << (cfg.fold ? 1 : 0)
+     << " maxreg=" << cfg.max_registers << " timetile=" << cfg.time_tile;
+  if (cfg.target_occupancy) os << " occ=" << *cfg.target_occupancy;
+  return os.str();
+}
 
 namespace {
 

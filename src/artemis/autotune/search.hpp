@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "artemis/codegen/plan.hpp"
@@ -19,6 +20,12 @@ namespace artemis::autotune {
 /// previously stored plan stale; old plans then miss instead of being
 /// silently reused.
 constexpr int kTunerVersion = 1;
+
+/// A kernel configuration as one human-readable key=value line. It is the
+/// candidate's identity: journal keys, leaderboard dedup and
+/// storage::PlanRecord::config all compare these strings, so every
+/// KernelConfig field must show in it.
+std::string serialize_config(const codegen::KernelConfig& cfg);
 
 /// Builds a plan for a candidate configuration. Implementations wrap
 /// codegen::build_plan with the appropriate stage list and BuildOptions;

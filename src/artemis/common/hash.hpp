@@ -7,9 +7,9 @@
 namespace artemis {
 
 /// CRC-32 (IEEE 802.3, the zlib/PNG polynomial 0xEDB88320), bit-reflected,
-/// initial value and final XOR 0xFFFFFFFF. Used to checksum on-disk records
-/// (plan store, tuning cache v2) so torn or bit-rotted rows are detected
-/// instead of silently parsed.
+/// initial value and final XOR 0xFFFFFFFF. Used to checksum on-disk plan
+/// store records so torn or bit-rotted rows are detected instead of
+/// silently parsed.
 std::uint32_t crc32(const void* data, std::size_t n);
 std::uint32_t crc32(const std::string& s);
 

@@ -40,9 +40,6 @@ ArtemisContext::ArtemisContext(ContextOptions opts)
   if (!opts_.store_root.empty()) {
     store_.emplace(*vfs_, opts_.store_root);
   }
-  if (!opts_.cache_path.empty()) {
-    cache_load_ = cache_.load_file(opts_.cache_path, vfs_);
-  }
 }
 
 int ArtemisContext::resolved_jobs() const {
@@ -122,13 +119,6 @@ TuneOutcome ArtemisContext::tune(const std::string& source,
     }
   }
 
-  // Informational cache lookup (artemisc semantics: report, never skip).
-  out.cache_hit = cache_.get(out.compile.run_key);
-  if (out.cache_hit.has_value()) {
-    const std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.cache_hits;
-  }
-
   // Per-tune strategy copy: the journal pointer and jobs knob below are
   // request-local, so concurrent tunes never share mutable state.
   Strategy strat = opts_.strategy;
@@ -160,13 +150,6 @@ TuneOutcome ArtemisContext::tune(const std::string& source,
   out.journal_active = journal.active();
   out.journal_recorded = journal.recorded();
   out.journal_replayed = journal.replay_size();
-
-  if (!opts_.cache_path.empty() && !out.result.kernels.empty()) {
-    cache_.put(out.compile.run_key,
-               {out.result.kernels[0].config, out.result.time_s,
-                out.result.tflops});
-    out.cache_saved = cache_.save_file(opts_.cache_path, vfs_);
-  }
 
   if (!out.result.kernels.empty()) {
     out.record = make_plan_record(out.compile.plan_key, out.result,

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "artemis/autotune/tuning_cache.hpp"
 #include "artemis/driver/driver.hpp"
 #include "artemis/gpumodel/device.hpp"
 #include "artemis/robust/journal.hpp"
@@ -18,8 +17,8 @@ namespace artemis::driver {
 
 /// Everything one ArtemisContext binds at construction. A context is the
 /// reentrant form of the artemisc pipeline: two contexts with different
-/// devices, strategies, caches and stores can run tune() concurrently on
-/// separate threads and produce exactly the plans sequential runs would.
+/// devices, strategies and stores can run tune() concurrently on separate
+/// threads and produce exactly the plans sequential runs would.
 struct ContextOptions {
   gpumodel::DeviceSpec device = gpumodel::p100();
   gpumodel::ModelParams params;
@@ -27,14 +26,11 @@ struct ContextOptions {
   /// Tuning parallelism handed to the tuner (TuneOptions.jobs semantics:
   /// 0 = the process default, any value yields byte-identical plans).
   int jobs = 0;
-  /// Filesystem every durable artifact (store, cache, journal) writes
-  /// through. nullptr = the real filesystem.
+  /// Filesystem every durable artifact (store, journal) writes through.
+  /// nullptr = the real filesystem.
   storage::Vfs* vfs = nullptr;
   /// Root of a durable content-addressed plan store; "" = none.
   std::string store_root;
-  /// Tuning-cache file loaded at construction and saved after tunes;
-  /// "" = none.
-  std::string cache_path;
   /// Simulator engine run() executes plans with (artemisc --engine).
   /// Every engine produces bit-identical grids in its default mode.
   sim::SimEngine engine = sim::SimEngine::Bytecode;
@@ -50,7 +46,7 @@ Strategy strategy_by_name(const std::string& name);
 
 /// A parsed program plus the two keys the pipeline files it under: the
 /// content-addressed plan-store key (canonical IR + device + tuner
-/// version) and the source-exact run key (cache + journal).
+/// version) and the source-exact run key that scopes the tuning journal.
 struct CompileInfo {
   ir::Program program;
   std::string plan_key;  ///< storage::plan_store_key(...)
@@ -90,9 +86,6 @@ struct TuneOutcome {
   /// daemon serves it).
   std::optional<storage::PlanRecord> stored;
   bool served_from_store = false;  ///< tuner skipped, record reused
-  /// Tuning-cache hit for the run key (informational; never skips work).
-  std::optional<autotune::CacheEntry> cache_hit;
-  bool cache_saved = false;
   enum class StorePut { NotAttempted, Ok, Failed };
   StorePut store_put = StorePut::NotAttempted;
   robust::JournalLoadResult journal_load;
@@ -121,17 +114,16 @@ struct ContextStats {
   std::uint64_t tuner_runs = 0;    ///< tunes that ran the optimizer
   std::uint64_t store_hits = 0;    ///< plan-store hits observed by tune()
   std::uint64_t store_serves = 0;  ///< tunes answered from the store
-  std::uint64_t cache_hits = 0;
   std::uint64_t runs = 0;
 };
 
 /// The artemisc pipeline as a reentrant library: parse, key, consult the
 /// plan store, tune (journaled and resumable), publish. All state is
-/// owned by the instance — device spec, model params, strategy, tuning
-/// cache, open plan store, Vfs binding — and nothing is written to
-/// process globals, so independent contexts are safe to drive from
-/// concurrent threads, and one context may serve concurrent tune() calls
-/// (its cache, store and counters are internally synchronized).
+/// owned by the instance — device spec, model params, strategy, open plan
+/// store, Vfs binding — and nothing is written to process globals, so
+/// independent contexts are safe to drive from concurrent threads, and
+/// one context may serve concurrent tune() calls (its store and counters
+/// are internally synchronized).
 class ArtemisContext {
  public:
   explicit ArtemisContext(ContextOptions opts);
@@ -163,10 +155,6 @@ class ArtemisContext {
   storage::Vfs& vfs() const { return *vfs_; }
   /// nullptr when the context has no durable store.
   storage::PlanStore* store() { return store_ ? &*store_ : nullptr; }
-  autotune::TuningCache& cache() { return cache_; }
-  /// How loading cache_path went at construction (Status::Missing for a
-  /// cold start; meaningless when cache_path is empty).
-  const autotune::CacheLoadReport& cache_load() const { return cache_load_; }
   ContextStats stats() const;
 
   /// The canonical durable record for a tuning result — the single
@@ -181,8 +169,6 @@ class ArtemisContext {
   ContextOptions opts_;
   storage::Vfs* vfs_;  ///< never null (real_vfs() when unset)
   std::optional<storage::PlanStore> store_;
-  autotune::TuningCache cache_;
-  autotune::CacheLoadReport cache_load_;
   mutable std::mutex stats_mu_;
   mutable ContextStats stats_;  ///< compile() is logically const
 };

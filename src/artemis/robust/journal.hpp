@@ -37,8 +37,7 @@ struct JournalLoadResult {
 };
 
 /// A crash-safe, append-only write-ahead journal of candidate
-/// evaluations, layered beside the tuning cache (same tab-separated
-/// one-line-per-record shape, see docs/ROBUSTNESS.md):
+/// evaluations, one tab-separated record per line (docs/ROBUSTNESS.md):
 ///
 ///   #artemis-tuning-journal v1 key=<run key>
 ///   <status> \t <time_s> \t <tflops> \t <candidate key>

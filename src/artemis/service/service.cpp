@@ -336,7 +336,6 @@ Json ArtemisService::do_stats(const Request& req) {
   cj.set("tuner_runs", Json(static_cast<std::int64_t>(cs.tuner_runs)));
   cj.set("store_hits", Json(static_cast<std::int64_t>(cs.store_hits)));
   cj.set("store_serves", Json(static_cast<std::int64_t>(cs.store_serves)));
-  cj.set("cache_hits", Json(static_cast<std::int64_t>(cs.cache_hits)));
   cj.set("runs", Json(static_cast<std::int64_t>(cs.runs)));
   result.set("context", std::move(cj));
   if (storage::PlanStore* store = ctx_.store()) {

@@ -651,8 +651,14 @@ void RimRunner::run(std::int64_t z, std::int64_t y, std::int64_t x0,
 
 bool needs_snapshot(const ir::ArrayAccessInfo& ai, int dims, bool recompute) {
   if (!ai.read || !ai.written) return false;
+  // A read can see another point's cell when it is off-center, uses a
+  // constant index, or indexes differently from a write: a zero-offset
+  // B[j][k][i] read against a B[k][j][i] write is a transpose.
   bool non_center = false;
   for (const auto& off : ai.read_offsets) {
+    for (const auto& w : ai.write_offsets) {
+      if (off != w) non_center = true;
+    }
     for (const auto& ix : off) {
       if (ix.is_const() || ix.offset != 0) non_center = true;
     }

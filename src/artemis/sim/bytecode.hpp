@@ -283,12 +283,13 @@ class RimRunner {
 /// Shared snapshot policy for kernel-style execution: must `ai` be copied
 /// before the sweep so every point observes pre-kernel values? True when
 /// the array is both read and written, some read is off-center (or uses a
-/// constant index), and a read could observe another point's write. The
-/// aliasing-free special case — every read and write resolves to the same
-/// canonical per-point coordinate (index d = iterator d, identical
-/// offsets) and no overlapped-tiling recompute is in play — skips the
-/// copy; results are identical because writes commit only after the
-/// owning point's reads completed.
+/// constant index, or an index vector no write uses, e.g. a transpose),
+/// and a read could observe another point's write. The aliasing-free
+/// special case — every read and write resolves to the same canonical
+/// per-point coordinate (index d = iterator d, identical offsets) and no
+/// overlapped-tiling recompute is in play — skips the copy; results are
+/// identical because writes commit only after the owning point's reads
+/// completed.
 bool needs_snapshot(const ir::ArrayAccessInfo& ai, int dims, bool recompute);
 
 }  // namespace artemis::sim

@@ -2,7 +2,7 @@
 
 #include <cstring>
 
-#include "artemis/autotune/tuning_cache.hpp"
+#include "artemis/autotune/search.hpp"
 #include "artemis/gpumodel/occupancy.hpp"
 
 namespace artemis::telemetry {
@@ -49,7 +49,7 @@ Json config_json(const codegen::KernelConfig& cfg) {
   j.set("max_registers", cfg.max_registers);
   j.set("time_tile", cfg.time_tile);
   if (cfg.target_occupancy) j.set("target_occupancy", *cfg.target_occupancy);
-  // The tuning-cache single-line form, for grep/diff convenience.
+  // The serialize_config single-line form, for grep/diff convenience.
   j.set("line", autotune::serialize_config(cfg));
   return j;
 }
@@ -130,8 +130,6 @@ Json build_run_report(const ReportMeta& meta,
   tuner.set("evaluated", counter("tuner.evaluated"));
   tuner.set("infeasible", counter("tuner.infeasible"));
   tuner.set("pruned_spill_budgets", counter("tuner.pruned_spill_budgets"));
-  tuner.set("cache_hits", counter("tuning_cache.hits"));
-  tuner.set("cache_misses", counter("tuning_cache.misses"));
   tuner.set("journal_hits", counter("tuner.journal_hits"));
   // Model-guided pruning (--model-prune-k): candidates the analytical
   // pre-filter kept from simulation, plus the per-sweep filter summaries
@@ -177,16 +175,6 @@ Json build_run_report(const ReportMeta& meta,
   resilience.set("journal_replayed", counter("journal.replayed"));
   resilience.set("journal_parse_errors", counter("journal.parse_errors"));
   resilience.set("journal_write_errors", counter("journal.write_errors"));
-  resilience.set("cache_parse_errors",
-                 counter("tuning_cache.parse_errors"));
-  // Cache drop breakdown: the same rows counted by cache_parse_errors,
-  // classified by why each was dropped.
-  Json cache_drops = Json::object();
-  cache_drops.set("crc_mismatch", counter("tuning_cache.drop.crc_mismatch"));
-  cache_drops.set("torn_tail", counter("tuning_cache.drop.torn_tail"));
-  cache_drops.set("version_skew", counter("tuning_cache.drop.version_skew"));
-  cache_drops.set("malformed", counter("tuning_cache.drop.malformed"));
-  resilience.set("cache_drops", std::move(cache_drops));
   resilience.set("dropped_candidates",
                  counter("driver.dropped_candidates"));
   resilience.set("dropped", events_named(events, "driver.candidate_dropped"));

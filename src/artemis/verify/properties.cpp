@@ -12,7 +12,6 @@
 #include <sstream>
 
 #include "artemis/autotune/search.hpp"
-#include "artemis/autotune/tuning_cache.hpp"
 #include "artemis/codegen/plan_builder.hpp"
 #include "artemis/common/str.hpp"
 #include "artemis/dsl/parser.hpp"

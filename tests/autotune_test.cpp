@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "artemis/autotune/deep_tuning.hpp"
 #include "artemis/autotune/search.hpp"
 #include "artemis/codegen/plan_builder.hpp"
@@ -77,6 +83,74 @@ TEST_F(AutotuneTest, DisableUnrollCollapsesFactorList) {
   const auto unrolls = candidate_unrolls(3, opts);
   ASSERT_EQ(unrolls.size(), 1u);
   EXPECT_EQ(unrolls[0], (std::array<int, 3>{1, 1, 1}));
+}
+
+// serialize_config is a candidate's identity: journal replay and
+// leaderboard dedup treat equal lines as equal configs, so a field the
+// line left out would merge distinct candidates. From a non-default
+// config, changing any one of the 13 KernelConfig fields (each axis of a
+// triple on its own) must give a line no other edit gives.
+TEST(SerializeConfig, EveryFieldChangesTheLine) {
+  KernelConfig base;
+  base.block = {64, 8, 1};
+  base.unroll = {2, 4, 1};
+  base.tiling = TilingScheme::StreamConcurrent;
+  base.stream_axis = 1;
+  base.perspective = codegen::Perspective::Mixed;
+  base.unroll_strategy = codegen::UnrollStrategy::Cyclic;
+  base.stream_chunk = 96;
+  base.prefetch = true;
+  base.retime = true;
+  base.fold = false;
+  base.max_registers = 128;
+  base.time_tile = 3;
+  base.target_occupancy = 0.5;
+  // Stops compiling when KernelConfig gains or loses a field: extend
+  // serialize_config and the edits below with it.
+  [[maybe_unused]] const auto& [block, unroll, tiling, stream_axis,
+                                perspective, unroll_strategy, stream_chunk,
+                                prefetch, retime, fold, max_registers,
+                                time_tile, target_occupancy] = base;
+
+  using Edit = std::function<void(KernelConfig&)>;
+  const std::vector<std::pair<std::string, Edit>> edits = {
+      {"block[0]", [](KernelConfig& c) { c.block[0] = 32; }},
+      {"block[1]", [](KernelConfig& c) { c.block[1] = 4; }},
+      {"block[2]", [](KernelConfig& c) { c.block[2] = 2; }},
+      {"unroll[0]", [](KernelConfig& c) { c.unroll[0] = 1; }},
+      {"unroll[1]", [](KernelConfig& c) { c.unroll[1] = 2; }},
+      {"unroll[2]", [](KernelConfig& c) { c.unroll[2] = 2; }},
+      {"tiling=spatial",
+       [](KernelConfig& c) { c.tiling = TilingScheme::Spatial3D; }},
+      {"tiling=stream",
+       [](KernelConfig& c) { c.tiling = TilingScheme::StreamSerial; }},
+      {"stream_axis", [](KernelConfig& c) { c.stream_axis = 2; }},
+      {"perspective",
+       [](KernelConfig& c) { c.perspective = codegen::Perspective::Input; }},
+      {"unroll_strategy",
+       [](KernelConfig& c) {
+         c.unroll_strategy = codegen::UnrollStrategy::Blocked;
+       }},
+      {"stream_chunk", [](KernelConfig& c) { c.stream_chunk = 64; }},
+      {"prefetch", [](KernelConfig& c) { c.prefetch = false; }},
+      {"retime", [](KernelConfig& c) { c.retime = false; }},
+      {"fold", [](KernelConfig& c) { c.fold = true; }},
+      {"max_registers", [](KernelConfig& c) { c.max_registers = 64; }},
+      {"time_tile", [](KernelConfig& c) { c.time_tile = 1; }},
+      {"target_occupancy=0.25",
+       [](KernelConfig& c) { c.target_occupancy = 0.25; }},
+      {"target_occupancy unset",
+       [](KernelConfig& c) { c.target_occupancy.reset(); }},
+  };
+  const std::string line = serialize_config(base);
+  std::set<std::string> lines = {line};
+  for (const auto& [field, edit] : edits) {
+    KernelConfig cfg = base;
+    edit(cfg);
+    EXPECT_NE(serialize_config(cfg), line) << field;
+    lines.insert(serialize_config(cfg));
+  }
+  EXPECT_EQ(lines.size(), edits.size() + 1);
 }
 
 TEST_F(AutotuneTest, HierarchicalFindsFeasibleBest) {

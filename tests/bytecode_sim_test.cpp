@@ -259,6 +259,29 @@ copyout out;
   EXPECT_EQ(r.totals.skipped_points, 8 * 8 * 2);
 }
 
+/// A zero-offset read through a permuted index vector reads another
+/// point's cell: B[j][k][i] at (k, j, i) is the cell (j, k, i) writes.
+/// Without a snapshot every engine, and the slab-parallel reference, reads
+/// cells other blocks may already have written.
+TEST(BytecodeSim, PermutedSelfReadNeedsSnapshot) {
+  const ir::Program prog = dsl::parse(R"(
+parameter L=8, M=8, N=8;
+iterator k, j, i;
+double in[L,M,N], out[L,M,N];
+copyin in;
+stencil transpose (B, A) {
+  B[k][j][i] = A[k][j][i];
+  B[k][j][i] = B[j][k][i] + 1.0;
+}
+transpose (out, in);
+copyout out;
+)");
+  const ir::StencilInfo info =
+      ir::analyze(prog, ir::bind_call(prog, prog.steps[0].call));
+  EXPECT_TRUE(needs_snapshot(info.arrays.at("out"), 3, /*recompute=*/false));
+  EXPECT_FALSE(needs_snapshot(info.arrays.at("in"), 3, /*recompute=*/false));
+}
+
 /// Reads at +/-3 on a 6^3 domain: the interior is empty (the whole domain
 /// is boundary rim) and no point has all reads in bounds, so every point
 /// is vetoed and the grids are untouched.

@@ -211,7 +211,6 @@ TEST(DriverContextTest, OneContextServesConcurrentTunesLikeSequential) {
   ContextOptions opts;
   opts.vfs = &vfs;
   opts.store_root = "store";
-  opts.cache_path = "cache/tuning.cache";
   opts.jobs = 1;
   ArtemisContext ctx(opts);
   std::string got_jacobi, got_dag;

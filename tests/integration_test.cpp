@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "artemis/autotune/tuning_cache.hpp"
 #include "artemis/codegen/plan_builder.hpp"
 #include "artemis/driver/driver.hpp"
 #include "artemis/dsl/parser.hpp"
@@ -119,26 +118,6 @@ TEST_F(Integration, RandomDagsSurviveFullPipeline) {
     const auto r = driver::optimize_program(prog, dev_, params_);
     EXPECT_GT(r.tflops, 0.0) << "trial " << trial;
     EXPECT_GE(r.kernel_launches, 1) << "trial " << trial;
-  }
-}
-
-TEST_F(Integration, TunedConfigsSerializeRoundTrip) {
-  const auto prog = stencils::benchmark_program("miniflux", 96);
-  const autotune::PlanFactory factory =
-      [&](const KernelConfig& cfg) {
-        return codegen::build_plan_for_call(prog, prog.steps[0].call, cfg,
-                                            dev_);
-      };
-  const auto tuned =
-      autotune::hierarchical_tune(factory, KernelConfig{}, dev_, params_);
-  for (const auto& cand : tuned.leaderboard) {
-    const auto back =
-        autotune::parse_config(autotune::serialize_config(cand.config));
-    // Re-planning the parsed config must reproduce the identical
-    // evaluation (the config is the complete tuning record).
-    const auto ev1 = gpumodel::evaluate(factory(cand.config), dev_, params_);
-    const auto ev2 = gpumodel::evaluate(factory(back), dev_, params_);
-    EXPECT_EQ(ev1.time_s, ev2.time_s);
   }
 }
 

@@ -16,7 +16,6 @@
 
 #include "artemis/autotune/deep_tuning.hpp"
 #include "artemis/autotune/search.hpp"
-#include "artemis/autotune/tuning_cache.hpp"
 #include "artemis/codegen/plan_builder.hpp"
 #include "artemis/common/parallel.hpp"
 #include "artemis/common/rng.hpp"

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "artemis/autotune/search.hpp"
-#include "artemis/autotune/tuning_cache.hpp"
 #include "artemis/codegen/plan_builder.hpp"
 #include "artemis/robust/candidate_runner.hpp"
 #include "artemis/robust/errors.hpp"

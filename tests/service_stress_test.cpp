@@ -42,7 +42,6 @@ ServiceOptions service_options(storage::Vfs& vfs) {
   ServiceOptions opts;
   opts.context.vfs = &vfs;
   opts.context.store_root = "store";
-  opts.context.cache_path = "cache/tuning.cache";
   opts.context.jobs = 2;
   opts.journal_dir = "wal";
   return opts;

@@ -40,7 +40,6 @@ ServiceOptions service_options(storage::Vfs& vfs, int jobs = 2) {
   ServiceOptions opts;
   opts.context.vfs = &vfs;
   opts.context.store_root = "store";
-  opts.context.cache_path = "cache/tuning.cache";
   opts.context.jobs = jobs;
   opts.journal_dir = "wal";
   return opts;
@@ -204,7 +203,17 @@ TEST(ServiceTest, ShutdownGatesNewWorkButAnswersStats) {
   EXPECT_EQ(refused["error"]["code"].as_string(), "shutting_down");
 
   const Json stats = svc.handle_json(make_request(3, "stats"));
-  EXPECT_TRUE(stats["ok"].as_bool());
+  ASSERT_TRUE(stats["ok"].as_bool());
+  // The `context` object carries exactly the counters docs/SERVICE.md
+  // lists under "Stats schema", in that order.
+  const std::vector<std::string> expected = {
+      "compiles", "tunes", "tuner_runs", "store_hits", "store_serves",
+      "runs"};
+  const Json& context = stats["result"]["context"];
+  ASSERT_EQ(context.members().size(), expected.size()) << context.dump(2);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(context.members()[i].first, expected[i]) << i;
+  }
 }
 
 // kill -9 mid-tune + restart: crash the simulated machine at several

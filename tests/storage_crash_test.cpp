@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "artemis/autotune/tuning_cache.hpp"
 #include "artemis/robust/journal.hpp"
 #include "artemis/storage/crash_check.hpp"
 #include "artemis/storage/plan_store.hpp"
@@ -116,46 +115,6 @@ TEST(PlanStoreCrashSweep, CrashDuringQuarantineIsSafe) {
 // The journal's own crash-at-every-op sweep lives in journal_test.cpp
 // (JournalCrashSweep.SyncedRecordsSurviveEveryCrashPoint), next to the
 // rest of the journal contract tests.
-
-TEST(TuningCacheCrashSweep, AtomicSaveNeverTearsTheCacheFile) {
-  // Regression for the non-atomic truncate-overwrite save: crash at any
-  // instant of save_file must leave either the complete old cache or the
-  // complete new one — never a prefix.
-  MemVfs vfs;
-  autotune::TuningCache old_cache;
-  old_cache.put("old/key", {codegen::KernelConfig{}, 1e-3, 1.0});
-  ASSERT_TRUE(old_cache.save_file("cache.db", &vfs));
-  const std::string old_bytes = vfs.read("cache.db").value();
-
-  vfs.set_record_trace(true);
-  autotune::TuningCache new_cache;
-  new_cache.put("new/key", {codegen::KernelConfig{}, 2e-3, 2.0});
-  new_cache.put("new/key2", {codegen::KernelConfig{}, 3e-3, 3.0});
-  ASSERT_TRUE(new_cache.save_file("cache.db", &vfs));
-  const std::string new_bytes = vfs.read("cache.db").value();
-  ASSERT_NE(old_bytes, new_bytes);
-
-  const auto report = crash_sweep(
-      vfs.trace(), default_crash_variants(),
-      [&](MemVfs& state) -> std::string {
-        // Seed the pre-save state: the trace starts after the old cache
-        // was (fully synced) on disk.
-        if (!state.exists("cache.db")) state.install_file("cache.db",
-                                                          old_bytes);
-        const std::string got = state.read("cache.db").value();
-        if (got != old_bytes && got != new_bytes) {
-          return "cache file is neither the old nor the new content";
-        }
-        autotune::TuningCache reload;
-        const auto r = reload.load_file("cache.db", &state);
-        if (!r.ok() || r.skipped != 0) {
-          return "recovered cache file did not load cleanly";
-        }
-        return "";
-      });
-  EXPECT_TRUE(report.ok()) << report.summary();
-  EXPECT_GT(report.states, 20u);
-}
 
 }  // namespace
 }  // namespace artemis::storage

@@ -8,7 +8,7 @@
 #include <sstream>
 #include <vector>
 
-#include "artemis/autotune/tuning_cache.hpp"
+#include "artemis/autotune/search.hpp"
 #include "artemis/common/json.hpp"
 #include "artemis/common/parallel.hpp"
 #include "artemis/driver/driver.hpp"
@@ -195,6 +195,14 @@ TEST_F(TelemetryTest, SummaryTextShowsTreeAndCounters) {
 
 // ---- the end-to-end run report --------------------------------------------
 
+/// The object's keys, in order, are exactly `expected`.
+void expect_keys(const Json& obj, const std::vector<std::string>& expected) {
+  ASSERT_EQ(obj.members().size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(obj.members()[i].first, expected[i]) << i;
+  }
+}
+
 TEST_F(TelemetryTest, RunReportRoundTripsAndCountersSumConsistently) {
   // Golden structural test for the --report output: run the full driver
   // pipeline with telemetry on, build the report, dump it, and re-parse
@@ -211,16 +219,23 @@ TEST_F(TelemetryTest, RunReportRoundTripsAndCountersSumConsistently) {
                        Collector::global().counters());
   const Json back = Json::parse(report.dump(2));
 
-  // Golden key set, in order (stable layout is part of the contract).
-  const std::vector<std::string> expected_keys = {
-      "report_version", "source",          "strategy", "device",
-      "schedule",       "fusion_schedule", "hints",    "deep_tuning",
-      "tuner",          "resilience",      "storage",  "parallel",
-      "sim",            "profile",         "phases"};
-  ASSERT_EQ(back.members().size(), expected_keys.size());
-  for (std::size_t i = 0; i < expected_keys.size(); ++i) {
-    EXPECT_EQ(back.members()[i].first, expected_keys[i]) << i;
-  }
+  // Golden key sets, in order (stable layout is part of the contract;
+  // any change here needs a kReportVersion bump).
+  expect_keys(back, {"report_version", "source", "strategy", "device",
+                     "schedule", "fusion_schedule", "hints", "deep_tuning",
+                     "tuner", "resilience", "storage", "parallel", "sim",
+                     "profile", "phases"});
+  expect_keys(back["tuner"],
+              {"enumerated", "evaluated", "infeasible",
+               "pruned_spill_budgets", "journal_hits", "model_pruned",
+               "model_filter", "model_rank", "candidates",
+               "leaderboard_changes", "leaderboard_events", "space"});
+  expect_keys(back["resilience"],
+              {"eval_crashes", "eval_timeouts", "eval_unstable",
+               "eval_retries", "quarantined", "quarantine_skips", "degraded",
+               "journal_records", "journal_replayed", "journal_parse_errors",
+               "journal_write_errors", "dropped_candidates", "dropped"});
+  EXPECT_EQ(back["report_version"].as_int(), 2);
   EXPECT_EQ(back["report_version"].as_int(), kReportVersion);
   EXPECT_EQ(back["source"].as_string(), "jacobi-iterative.dsl");
   EXPECT_EQ(back["strategy"].as_string(), "artemis");

@@ -12,7 +12,6 @@
 //   artemisc prog.dsl --strategy ppcg       use a baseline generator
 //   artemisc prog.dsl --device v100         target the V100 model
 //   artemisc prog.dsl --emit-candidates     print fission candidate DSL
-//   artemisc prog.dsl --tuning-cache f.db   persist/reuse tuned schedules
 //   artemisc prog.dsl --compare             all five generators (Fig. 5 row)
 //   artemisc prog.dsl --trace t.json        Chrome/Perfetto trace of the run
 //   artemisc prog.dsl --report r.json       machine-readable run report
@@ -29,7 +28,6 @@
 #include <sstream>
 
 #include "artemis/autotune/search.hpp"
-#include "artemis/autotune/tuning_cache.hpp"
 #include "artemis/baselines/baselines.hpp"
 #include "artemis/codegen/cuda_emitter.hpp"
 #include "artemis/codegen/plan_builder.hpp"
@@ -78,7 +76,6 @@ int usage(const char* argv0) {
                "       [--emit-candidates]    print fission candidate DSL\n"
                "       [--compare]            all five generators (Fig. 5 "
                "row)\n"
-               "       [--tuning-cache file]  persist/reuse tuned schedules\n"
                "       [--store dir]          durable content-addressed plan "
                "store\n"
                "       [--journal file]       crash-safe tuning journal "
@@ -259,7 +256,7 @@ int main(int argc, char** argv) {
   std::string strategy_name = "artemis";
   std::string device_name = "p100";
   std::string engine_name = "bytecode";
-  std::string cache_path, store_path;
+  std::string store_path;
   std::string journal_path, fault_spec;
   std::string trace_path, report_path, metrics_path;
   bool emit_cuda = false, profile = false, run = false, candidates = false;
@@ -285,8 +282,6 @@ int main(int argc, char** argv) {
       engine_name = argv[++i];
     } else if (arg == "--emit-candidates") {
       candidates = true;
-    } else if (arg == "--tuning-cache" && i + 1 < argc) {
-      cache_path = argv[++i];
     } else if (arg == "--store" && i + 1 < argc) {
       store_path = argv[++i];
     } else if (arg == "--journal" && i + 1 < argc) {
@@ -432,9 +427,9 @@ int main(int argc, char** argv) {
       std::printf("fault injection armed: %s\n", fault_spec.c_str());
     }
 
-    // Every durable artifact (plan store, tuning cache, journal) writes
-    // through one Vfs. When the installed fault plan carries fs.* keys,
-    // that Vfs injects filesystem faults deterministically.
+    // Every durable artifact (plan store, journal) writes through one
+    // Vfs. When the installed fault plan carries fs.* keys, that Vfs
+    // injects filesystem faults deterministically.
     storage::Vfs* vfs = &storage::real_vfs();
     std::unique_ptr<storage::FaultVfs> fault_vfs;
     if (const robust::FaultPlan* plan = robust::current_fault_plan();
@@ -447,9 +442,9 @@ int main(int argc, char** argv) {
     }
 
     // The pipeline proper lives in the reentrant ArtemisContext library
-    // (docs/SERVICE.md): it owns the tuning cache, the plan store and
-    // the Vfs binding, and artemisd drives the very same API — so a
-    // daemon-served plan is byte-identical to this one-shot run.
+    // (docs/SERVICE.md): it owns the plan store and the Vfs binding, and
+    // artemisd drives the very same API — so a daemon-served plan is
+    // byte-identical to this one-shot run.
     driver::ContextOptions copts;
     copts.device = dev;
     copts.params = params;
@@ -457,7 +452,6 @@ int main(int argc, char** argv) {
     copts.jobs = jobs;
     copts.vfs = vfs;
     copts.store_root = store_path;
-    copts.cache_path = cache_path;
     copts.engine = sim::engine_by_name(engine_name);
     driver::ArtemisContext ctx(copts);
     const int resolved_jobs = ctx.resolved_jobs();
@@ -485,27 +479,6 @@ int main(int argc, char** argv) {
                 path.c_str(), strat.name.c_str(), dev.name.c_str(),
                 resolved_jobs);
 
-    // Tuning cache: keyed by source hash + strategy + device so a cached
-    // schedule is only reused for the exact same input. The context
-    // loaded it at construction; report how that went.
-    if (!cache_path.empty()) {
-      const auto& cl = ctx.cache_load();
-      if (cl.status == autotune::CacheLoadReport::Status::IoError) {
-        std::fprintf(stderr,
-                     "artemisc: warning: tuning cache '%s' is unreadable; "
-                     "continuing without cached schedules\n",
-                     cache_path.c_str());
-      } else if (cl.skipped > 0) {
-        std::fprintf(stderr,
-                     "artemisc: warning: tuning cache '%s': skipped %d "
-                     "corrupt row(s) (%d crc, %d torn, %d version, %d "
-                     "malformed), loaded %d\n",
-                     cache_path.c_str(), cl.skipped, cl.crc_mismatch,
-                     cl.torn_tail, cl.version_skew, cl.malformed,
-                     cl.loaded);
-      }
-    }
-
     // The full pipeline: parse, key, consult the store, tune (journaled
     // when --journal was given), publish. The one-shot CLI reports store
     // hits but still re-optimizes (reuse_stored_plan stays false).
@@ -530,12 +503,6 @@ int main(int argc, char** argv) {
       }
     }
 
-    if (!cache_path.empty() && outcome.cache_hit.has_value()) {
-      std::printf(
-          "tuning cache hit (%s): reusing %s\n", cache_path.c_str(),
-          autotune::serialize_config(outcome.cache_hit->config).c_str());
-    }
-
     if (!store_path.empty()) {
       if (outcome.stored.has_value()) {
         std::printf("plan store hit (%s): %s @ %.4f TFLOPS\n",
@@ -550,11 +517,6 @@ int main(int argc, char** argv) {
     if (outcome.journal_active) {
       std::printf("journal: %zu record(s) appended, %zu replayed\n",
                   outcome.journal_recorded, outcome.journal_replayed);
-    }
-
-    if (outcome.cache_saved) {
-      std::printf("tuning cache updated: %s (%zu entries)\n",
-                  cache_path.c_str(), ctx.cache().size());
     }
 
     if (outcome.store_put == driver::TuneOutcome::StorePut::Ok) {

@@ -30,8 +30,6 @@ int usage(const char* argv0) {
                "plan store\n"
                "       [--journal-dir dir]    per-program tuning journals "
                "(resume after kill)\n"
-               "       [--tuning-cache file]  persist/reuse tuned "
-               "schedules\n"
                "       [--strategy artemis|ppcg|stencilgen|global|"
                "global-stream]\n"
                "       [--device k40|p100|v100|a100|h100]\n"
@@ -47,7 +45,7 @@ int usage(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string socket_path, store_path, journal_dir, cache_path;
+  std::string socket_path, store_path, journal_dir;
   std::string strategy_name = "artemis";
   std::string device_name = "p100";
   int jobs = 0;
@@ -61,8 +59,6 @@ int main(int argc, char** argv) {
       store_path = argv[++i];
     } else if (arg == "--journal-dir" && i + 1 < argc) {
       journal_dir = argv[++i];
-    } else if (arg == "--tuning-cache" && i + 1 < argc) {
-      cache_path = argv[++i];
     } else if (arg == "--strategy" && i + 1 < argc) {
       strategy_name = argv[++i];
     } else if (arg == "--device" && i + 1 < argc) {
@@ -104,7 +100,6 @@ int main(int argc, char** argv) {
     }
     opts.context.jobs = jobs;
     opts.context.store_root = store_path;
-    opts.context.cache_path = cache_path;
     opts.journal_dir = journal_dir;
 
     service::ArtemisService svc(opts);
