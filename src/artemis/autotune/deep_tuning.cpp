@@ -24,13 +24,12 @@ DeepTuneEntry tune_one_tile(const ir::Program& prog,
   const transform::TimeTiledKernel tt =
       transform::time_tile_iterate(prog, iterate_step, x);
 
-  // The factory captures the augmented program and stages by value so
-  // each tuner evaluation rebuilds the plan for its config.
-  const PlanFactory factory =
-      [prog = tt.augmented,
-       stages = tt.stages, &dev](const codegen::KernelConfig& cfg) {
-        return codegen::build_plan(prog, stages, cfg, dev);
-      };
+  // One template per fused version: each tuner evaluation only
+  // configures it for its config.
+  const codegen::StageTemplate tmpl(tt.augmented, tt.stages);
+  const PlanFactory factory = [&tmpl, &dev](const codegen::KernelConfig& cfg) {
+    return codegen::configure(tmpl, cfg, dev);
+  };
 
   codegen::KernelConfig seed;
   seed.tiling = codegen::TilingScheme::StreamSerial;

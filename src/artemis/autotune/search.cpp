@@ -1,6 +1,7 @@
 #include "artemis/autotune/search.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <limits>
 #include <numeric>
 #include <optional>
@@ -145,13 +146,66 @@ struct EvalOutcome {
   std::optional<Candidate> candidate;  ///< success, either path
 };
 
+/// A candidate's plan as register-budget escalation built it: the plan at
+/// the settled budget, or the PlanError its build threw, plus the budgets
+/// passed over. Evaluation reuses it instead of building again.
+struct BuiltPlan {
+  std::optional<KernelPlan> plan;
+  std::exception_ptr error;
+  int skipped_budgets = 0;
+};
+
+/// Register-budget escalation (Section V): build `cfg` once, then settle
+/// on the smallest budget, in escalation order, at which the register
+/// estimate does not spill, counting the budgets passed over; the largest
+/// budget when all spill. Neither the plan nor its estimate reads
+/// max_registers (autotune_test pins this), so one build and one estimate
+/// serve every budget. `cfg` and the plan leave with the settled budget;
+/// an infeasible config keeps the largest, as escalation always left it.
+BuiltPlan build_settled(const PlanFactory& factory, KernelConfig& cfg,
+                        const std::vector<int>& budgets) {
+  BuiltPlan built;
+  cfg.max_registers = budgets.front();
+  try {
+    built.plan = factory(cfg);
+  } catch (const PlanError&) {
+    cfg.max_registers = budgets.back();
+    built.error = std::current_exception();
+    return built;
+  }
+  const int regs = gpumodel::estimate_registers(*built.plan).total;
+  cfg.max_registers = budgets.back();
+  for (const int budget : budgets) {
+    if (regs <= budget) {
+      cfg.max_registers = budget;
+      break;
+    }
+    ++built.skipped_budgets;
+  }
+  built.plan->config.max_registers = cfg.max_registers;
+  return built;
+}
+
+/// The model's evaluation of `cfg`, on escalation's plan when `built`
+/// carries one and on a fresh build otherwise.
+gpumodel::KernelEval evaluate_config(const EvalContext& ctx,
+                                     const KernelConfig& cfg,
+                                     const BuiltPlan& built) {
+  if (built.error) std::rethrow_exception(built.error);
+  if (built.plan) return gpumodel::evaluate(*built.plan, ctx.dev, ctx.params);
+  return gpumodel::evaluate(ctx.factory(cfg), ctx.dev, ctx.params);
+}
+
 /// The thread-safe half of try-one-configuration: journal lookup (the
-/// replay map is immutable during a run), plan construction, and the
-/// measurement through the resilient runner. No telemetry counters, no
-/// journal writes, no TuneResult mutation — commit_candidate does those.
-EvalOutcome evaluate_candidate(EvalContext& ctx, const KernelConfig& cfg) {
+/// replay map is immutable during a run), plan construction (unless
+/// `built` carries it), and the measurement through the resilient runner.
+/// No telemetry counters, no journal writes, no TuneResult mutation —
+/// commit_candidate does those.
+EvalOutcome evaluate_candidate(EvalContext& ctx, const KernelConfig& cfg,
+                               const BuiltPlan& built) {
   EvalOutcome eo;
   if (ctx.needs_key()) eo.key = ctx.candidate_key(cfg);
+  const auto evaluate = [&] { return evaluate_config(ctx, cfg, built); };
 
   // Replay: a resumed journal already holds this candidate's outcome, so
   // the (expensive, possibly faulty) measurement is skipped. The cheap
@@ -163,9 +217,7 @@ EvalOutcome evaluate_candidate(EvalContext& ctx, const KernelConfig& cfg) {
       eo.replay = rec;
       if (rec->status == "ok") {
         try {
-          const KernelPlan plan = ctx.factory(cfg);
-          gpumodel::KernelEval ev =
-              gpumodel::evaluate(plan, ctx.dev, ctx.params);
+          gpumodel::KernelEval ev = evaluate();
           if (ev.valid) {
             Candidate c;
             c.config = cfg;
@@ -180,10 +232,7 @@ EvalOutcome evaluate_candidate(EvalContext& ctx, const KernelConfig& cfg) {
     }
   }
 
-  eo.outcome = ctx.runner.run("tuner.eval", eo.key, [&]() {
-    const KernelPlan plan = ctx.factory(cfg);
-    return gpumodel::evaluate(plan, ctx.dev, ctx.params);
-  });
+  eo.outcome = ctx.runner.run("tuner.eval", eo.key, evaluate);
   if (eo.outcome.status == robust::RunStatus::Ok && eo.outcome.eval.valid) {
     Candidate c;
     c.config = cfg;
@@ -301,14 +350,13 @@ std::optional<Candidate> commit_candidate(EvalContext& ctx,
 /// infeasible, crashed, or quarantined), fall back to the baseline seed
 /// configuration — evaluated directly, outside the fault/retry path — and
 /// emit a telemetry warning instead of aborting the pipeline. Returns
-/// false when even the baseline cannot run; the caller then throws the
-/// historical PlanError.
-bool degrade_to_seed(EvalContext& ctx, const KernelConfig& seed,
-                     std::vector<Candidate>& board) {
+/// nullopt when even the baseline cannot run.
+std::optional<Candidate> degrade_to_seed(EvalContext& ctx,
+                                         const KernelConfig& seed) {
   try {
     const KernelPlan plan = ctx.factory(seed);
     gpumodel::KernelEval ev = gpumodel::evaluate(plan, ctx.dev, ctx.params);
-    if (!ev.valid) return false;
+    if (!ev.valid) return std::nullopt;
     Candidate c;
     c.config = seed;
     c.time_s = ev.time_s;
@@ -323,108 +371,89 @@ bool degrade_to_seed(EvalContext& ctx, const KernelConfig& seed,
                  "the baseline config")},
            {"config", Json(serialize_config(seed))}});
     }
-    board.push_back(std::move(c));  // the board is empty by construction
-    return true;
+    return c;
   } catch (const PlanError&) {
-    return false;
+    return std::nullopt;
   }
 }
 
-void insert_leaderboard(std::vector<Candidate>& board, Candidate c,
-                        int top_k) {
-  const bool had_best = !board.empty();
-  const double prev_best_s = had_best ? board.front().time_s : 0;
-  const std::string prev_best_cfg =
-      had_best && telemetry::enabled() ? serialize_config(board.front().config)
-                                       : std::string();
-  // A config never holds two slots: the random sweep and stage-2 variant
-  // generation can enumerate the same config twice, and under timing
-  // trials the two measurements may differ. The better one keeps the one
-  // slot; the rest of the board stays available for distinct configs
-  // instead of a duplicate pushing them past the top_k cut.
-  const std::string key = serialize_config(c.config);
-  const auto dup =
-      std::find_if(board.begin(), board.end(), [&](const Candidate& e) {
-        return serialize_config(e.config) == key;
-      });
-  if (dup != board.end()) {
-    if (c.time_s >= dup->time_s) return;  // existing entry at least as good
-    *dup = std::move(c);
-  } else {
-    board.push_back(std::move(c));
+/// The search's top_k candidates, best first. Each entry keeps its
+/// canonical config key (serialize_config), computed once when the entry
+/// is committed: dedup and the tie-break on equal times compare stored
+/// keys instead of serializing the board again on every insert.
+class Leaderboard {
+ public:
+  explicit Leaderboard(int top_k) : top_k_(top_k) {}
+
+  /// The entries, best first.
+  std::vector<Candidate> candidates() const {
+    std::vector<Candidate> out;
+    out.reserve(entries_.size());
+    for (const Entry& e : entries_) out.push_back(e.cand);
+    return out;
   }
-  // Ties on time are broken by the canonical config serialization: a
-  // total order, so the board never depends on insertion history and the
-  // parallel tuner's plan matches the serial one even among equal-cost
-  // candidates.
-  std::sort(board.begin(), board.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.time_s != b.time_s) return a.time_s < b.time_s;
-              return serialize_config(a.config) < serialize_config(b.config);
-            });
-  if (board.size() > static_cast<std::size_t>(top_k)) {
-    board.resize(static_cast<std::size_t>(top_k));
-  }
-  // Leaderboard-change events ride the serial commit path, so the event
-  // stream is identical at any jobs value (search observability).
-  if (telemetry::enabled()) {
-    const std::string best_cfg = serialize_config(board.front().config);
-    if (!had_best || best_cfg != prev_best_cfg) {
-      telemetry::counter_add("tuner.leaderboard_changes");
-      std::vector<telemetry::Attr> args;
-      args.push_back({"config", Json(best_cfg)});
-      args.push_back({"time_ms", Json(board.front().time_s * 1e3)});
-      if (had_best) {
-        args.push_back({"previous_best_ms", Json(prev_best_s * 1e3)});
+
+  void insert(Candidate c) {
+    const bool had_best = !entries_.empty();
+    const double prev_best_s = had_best ? entries_.front().cand.time_s : 0;
+    const std::string prev_best_key = had_best && telemetry::enabled()
+                                          ? entries_.front().key
+                                          : std::string();
+    // A config never holds two slots: the random sweep and stage-2
+    // variant generation can enumerate the same config twice, and under
+    // timing trials the two measurements may differ. The better one keeps
+    // the one slot; the rest of the board stays available for distinct
+    // configs instead of a duplicate pushing them past the top_k cut.
+    std::string key = serialize_config(c.config);
+    const auto dup = std::find_if(entries_.begin(), entries_.end(),
+                                  [&](const Entry& e) { return e.key == key; });
+    if (dup != entries_.end()) {
+      if (c.time_s >= dup->cand.time_s) return;  // existing at least as good
+      dup->cand = std::move(c);
+    } else {
+      entries_.push_back({std::move(key), std::move(c)});
+    }
+    // Ties on time are broken by the canonical config serialization: a
+    // total order, so the board never depends on insertion history and
+    // the parallel tuner's plan matches the serial one even among
+    // equal-cost candidates.
+    std::sort(entries_.begin(), entries_.end(),
+              [](const Entry& a, const Entry& b) {
+                if (a.cand.time_s != b.cand.time_s) {
+                  return a.cand.time_s < b.cand.time_s;
+                }
+                return a.key < b.key;
+              });
+    if (entries_.size() > static_cast<std::size_t>(top_k_)) {
+      entries_.resize(static_cast<std::size_t>(top_k_));
+    }
+    // Leaderboard-change events ride the serial commit path, so the event
+    // stream is identical at any jobs value (search observability).
+    if (telemetry::enabled()) {
+      const Entry& best = entries_.front();
+      if (!had_best || best.key != prev_best_key) {
+        telemetry::counter_add("tuner.leaderboard_changes");
+        std::vector<telemetry::Attr> args;
+        args.push_back({"config", Json(best.key)});
+        args.push_back({"time_ms", Json(best.cand.time_s * 1e3)});
+        if (had_best) {
+          args.push_back({"previous_best_ms", Json(prev_best_s * 1e3)});
+        }
+        args.push_back(
+            {"board_size", Json(static_cast<std::int64_t>(entries_.size()))});
+        telemetry::instant("tuner.leaderboard", "tune", std::move(args));
       }
-      args.push_back(
-          {"board_size", Json(static_cast<std::int64_t>(board.size()))});
-      telemetry::instant("tuner.leaderboard", "tune", std::move(args));
     }
   }
-}
 
-/// Pick the smallest register budget at which the estimate does not
-/// spill; returns nullopt when even the largest budget spills (the caller
-/// may still evaluate at the top budget and pay the spill penalty).
-std::optional<int> spill_free_budget(const PlanFactory& factory,
-                                     KernelConfig cfg,
-                                     const TuneOptions& opts,
-                                     int* skipped) {
-  for (const int budget : opts.register_budgets) {
-    cfg.max_registers = budget;
-    try {
-      const KernelPlan plan = factory(cfg);
-      const auto est = gpumodel::estimate_registers(plan);
-      if (est.total <= budget) return budget;
-      ++*skipped;
-      telemetry::counter_add("tuner.pruned_spill_budgets");
-    } catch (const PlanError&) {
-      return std::nullopt;
-    }
-  }
-  return std::nullopt;
-}
-
-
-/// Silent twin of spill_free_budget for the pre-filter's scoring pass:
-/// identical settling logic, but no telemetry and no skip accounting, so
-/// a surviving candidate's later (counted) escalation stays the first
-/// and only one observed.
-int settled_budget(const PlanFactory& factory, KernelConfig cfg,
-                   const TuneOptions& opts) {
-  for (const int budget : opts.register_budgets) {
-    cfg.max_registers = budget;
-    try {
-      if (gpumodel::estimate_registers(factory(cfg)).total <= budget) {
-        return budget;
-      }
-    } catch (const PlanError&) {
-      break;
-    }
-  }
-  return opts.register_budgets.back();
-}
+ private:
+  struct Entry {
+    std::string key;
+    Candidate cand;
+  };
+  int top_k_;
+  std::vector<Entry> entries_;
+};
 
 /// Analytical pre-filter (TuneOptions::model_prune_k, after Ernst et
 /// al.): score every enumerated configuration with the pure model and
@@ -449,13 +478,15 @@ std::vector<KernelConfig> model_prefilter(EvalContext& ctx, TaskPool* pool,
   std::vector<double> scores(raw.size(), 0.0);
   const auto score_one = [&](std::int64_t i) {
     KernelConfig cfg = raw[static_cast<std::size_t>(i)];
-    if (escalate_budget) {
-      cfg.max_registers = settled_budget(ctx.factory, cfg, ctx.opts);
-    }
     double s = std::numeric_limits<double>::infinity();
     try {
-      const gpumodel::KernelEval ev =
-          gpumodel::evaluate(ctx.factory(cfg), ctx.dev, ctx.params);
+      // Skipped budgets are left uncounted here: a survivor's own
+      // escalation in run_candidates counts them, once.
+      const BuiltPlan built =
+          escalate_budget
+              ? build_settled(ctx.factory, cfg, ctx.opts.register_budgets)
+              : BuiltPlan{};
+      const gpumodel::KernelEval ev = evaluate_config(ctx, cfg, built);
       if (ev.valid) s = ev.time_s;
     } catch (const PlanError&) {
     }
@@ -526,7 +557,7 @@ std::vector<KernelConfig> model_prefilter(EvalContext& ctx, TaskPool* pool,
 /// which is exactly the serial schedule for them.
 void run_candidates(EvalContext& ctx, TaskPool* pool, const char* stage,
                     std::vector<KernelConfig> raw, bool escalate_budget,
-                    int& evaluated_counter, std::vector<Candidate>& board) {
+                    int& evaluated_counter, Leaderboard& board) {
   // Model-guided pruning happens before anything else sees the sweep:
   // the survivors flow through the unchanged evaluate/commit machinery,
   // so a pruned sweep is bit-indistinguishable from enumerating only the
@@ -545,12 +576,15 @@ void run_candidates(EvalContext& ctx, TaskPool* pool, const char* stage,
   };
 
   const auto prepare = [&](KernelConfig cfg, Prepared& p) {
+    BuiltPlan built;
     if (escalate_budget) {
-      const auto budget =
-          spill_free_budget(ctx.factory, cfg, ctx.opts, &p.spill_pruned);
-      cfg.max_registers = budget.value_or(ctx.opts.register_budgets.back());
+      built = build_settled(ctx.factory, cfg, ctx.opts.register_budgets);
+      p.spill_pruned = built.skipped_budgets;
+      if (p.spill_pruned > 0) {
+        telemetry::counter_add("tuner.pruned_spill_budgets", p.spill_pruned);
+      }
     }
-    p.eo = evaluate_candidate(ctx, cfg);
+    p.eo = evaluate_candidate(ctx, cfg, built);
     p.cfg = std::move(cfg);
   };
 
@@ -574,7 +608,7 @@ void run_candidates(EvalContext& ctx, TaskPool* pool, const char* stage,
       sweep_model.push_back(model_scores[static_cast<std::size_t>(slot)]);
       sweep_sim.push_back(cand->time_s);
     }
-    insert_leaderboard(board, std::move(*cand), ctx.opts.top_k);
+    board.insert(std::move(*cand));
   };
 
   if (pool == nullptr || pool->parallelism() < 2) {
@@ -645,6 +679,23 @@ void settle_model_rank(EvalContext& ctx) {
   ctx.result->model_sim_spearman =
       metrics::spearman(ctx.model_scores, ctx.sim_times);
   ctx.result->has_model_sim_spearman = true;
+}
+
+/// Close a search into ctx.result: the board best first, or the degraded
+/// seed when the board is empty. Throws PlanError(`empty_what`) when even
+/// the seed cannot run.
+void finish_search(EvalContext& ctx, const KernelConfig& seed,
+                   const Leaderboard& board, const char* empty_what) {
+  TuneResult& result = *ctx.result;
+  result.leaderboard = board.candidates();
+  if (result.leaderboard.empty()) {
+    std::optional<Candidate> fallback = degrade_to_seed(ctx, seed);
+    if (!fallback) throw PlanError(empty_what);
+    result.leaderboard.push_back(std::move(*fallback));
+  }
+  settle_model_rank(ctx);
+  result.quarantined = ctx.runner.quarantined_count();
+  result.best = result.leaderboard.front();
 }
 
 /// Count the powers of two in [lo, hi] — the side length of one axis of
@@ -751,7 +802,7 @@ TuneResult hierarchical_tune(const PlanFactory& factory,
                              const gpumodel::ModelParams& params,
                              const TuneOptions& opts) {
   TuneResult result;
-  std::vector<Candidate> board;
+  Leaderboard board(opts.top_k);
   EvalContext ctx(factory, dev, params, opts, &result);
   const int jobs = resolve_tune_jobs(opts);
   std::optional<TaskPool> pool_storage;
@@ -814,7 +865,7 @@ TuneResult hierarchical_tune(const PlanFactory& factory,
 
   // ---- stage 2: low-impact toggles on the survivors ------------------------
   const telemetry::Span stage2_span("tune.stage2", "tune");
-  const std::vector<Candidate> survivors = board;
+  const std::vector<Candidate> survivors = board.candidates();
   std::vector<KernelConfig> variants;
   for (const auto& s : survivors) {
     const bool streaming = s.config.tiling != TilingScheme::Spatial3D;
@@ -848,13 +899,7 @@ TuneResult hierarchical_tune(const PlanFactory& factory,
   run_candidates(ctx, pool, "stage2", std::move(variants),
                  /*escalate_budget=*/false, result.evaluated_stage2, board);
 
-  if (board.empty() && !degrade_to_seed(ctx, seed, board)) {
-    throw PlanError("autotuner found no feasible configuration");
-  }
-  settle_model_rank(ctx);
-  result.quarantined = ctx.runner.quarantined_count();
-  result.best = board.front();
-  result.leaderboard = std::move(board);
+  finish_search(ctx, seed, board, "autotuner found no feasible configuration");
   return result;
 }
 
@@ -864,7 +909,7 @@ TuneResult exhaustive_tune(const PlanFactory& factory,
                            const gpumodel::ModelParams& params,
                            const TuneOptions& opts) {
   TuneResult result;
-  std::vector<Candidate> board;
+  Leaderboard board(opts.top_k);
   EvalContext ctx(factory, dev, params, opts, &result);
   const int jobs = resolve_tune_jobs(opts);
   std::optional<TaskPool> pool_storage;
@@ -934,13 +979,7 @@ TuneResult exhaustive_tune(const PlanFactory& factory,
   run_candidates(ctx, pool, "exhaustive", std::move(raw),
                  /*escalate_budget=*/false, result.evaluated_stage1, board);
 
-  if (board.empty() && !degrade_to_seed(ctx, seed, board)) {
-    throw PlanError("exhaustive tuner found no feasible configuration");
-  }
-  settle_model_rank(ctx);
-  result.quarantined = ctx.runner.quarantined_count();
-  result.best = board.front();
-  result.leaderboard = std::move(board);
+  finish_search(ctx, seed, board, "exhaustive tuner found no feasible configuration");
   return result;
 }
 
@@ -951,7 +990,7 @@ TuneResult random_tune(const PlanFactory& factory,
                        const TuneOptions& opts, int budget,
                        std::uint64_t rng_seed) {
   TuneResult result;
-  std::vector<Candidate> board;
+  Leaderboard board(opts.top_k);
   EvalContext ctx(factory, dev, params, opts, &result);
   const int jobs = resolve_tune_jobs(opts);
   std::optional<TaskPool> pool_storage;
@@ -999,13 +1038,7 @@ TuneResult random_tune(const PlanFactory& factory,
                         static_cast<std::int64_t>(std::max(0, budget)));
   run_candidates(ctx, pool, "random", std::move(raw),
                  /*escalate_budget=*/false, result.evaluated_stage1, board);
-  if (board.empty() && !degrade_to_seed(ctx, seed, board)) {
-    throw PlanError("random tuner found no feasible configuration");
-  }
-  settle_model_rank(ctx);
-  result.quarantined = ctx.runner.quarantined_count();
-  result.best = board.front();
-  result.leaderboard = std::move(board);
+  finish_search(ctx, seed, board, "random tuner found no feasible configuration");
   return result;
 }
 

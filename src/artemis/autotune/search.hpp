@@ -28,8 +28,11 @@ constexpr int kTunerVersion = 1;
 std::string serialize_config(const codegen::KernelConfig& cfg);
 
 /// Builds a plan for a candidate configuration. Implementations wrap
-/// codegen::build_plan with the appropriate stage list and BuildOptions;
-/// throwing PlanError marks the configuration infeasible.
+/// codegen::configure (or build_plan) with the appropriate stage list and
+/// BuildOptions; throwing PlanError marks the configuration infeasible.
+/// The plan may not depend on cfg.max_registers beyond carrying it in
+/// plan.config: register escalation builds each candidate once and sets
+/// the settled budget on that plan.
 using PlanFactory =
     std::function<codegen::KernelPlan(const codegen::KernelConfig&)>;
 

@@ -31,17 +31,24 @@ std::map<std::string, std::int64_t> count_accesses(
   return counts;
 }
 
-/// Per-block shared memory bytes for the current placement.
-std::int64_t compute_shmem_bytes(const KernelPlan& plan) {
-  const auto& cfg = plan.config;
-  const std::int64_t tx = plan.tile_extent(0);
-  const std::int64_t ty = plan.dims >= 2 ? plan.tile_extent(1) : 1;
-  const std::int64_t tz = plan.dims >= 3 ? plan.tile_extent(2) : 1;
+/// Per-block shared memory bytes for `placement` of the plan's arrays
+/// under `cfg`.
+std::int64_t compute_shmem_bytes(
+    const KernelPlan& plan, const KernelConfig& cfg, bool retimed,
+    const std::map<std::string, Placement>& placement) {
+  const auto tile_extent = [&](int axis) -> std::int64_t {
+    return static_cast<std::int64_t>(
+               cfg.block[static_cast<std::size_t>(axis)]) *
+           cfg.unroll[static_cast<std::size_t>(axis)];
+  };
+  const std::int64_t tx = tile_extent(0);
+  const std::int64_t ty = plan.dims >= 2 ? tile_extent(1) : 1;
+  const std::int64_t tz = plan.dims >= 3 ? tile_extent(2) : 1;
   const bool streaming = cfg.tiling != TilingScheme::Spatial3D;
 
   std::set<int> counted_groups;
   std::int64_t bytes = 0;
-  for (const auto& [name, pl] : plan.placement) {
+  for (const auto& [name, pl] : placement) {
     if (pl.space != ir::MemSpace::Shared) continue;
     if (pl.fold_group >= 0) {
       if (counted_groups.count(pl.fold_group)) continue;
@@ -81,7 +88,7 @@ std::int64_t compute_shmem_bytes(const KernelPlan& plan) {
       const std::int64_t own_rz = ai.radius[0];  // iterator 0 = z
       std::int64_t planes = 1;
       if (is_internal) planes = 2 * own_rz + 1;
-      if (plan.retimed && !is_internal) planes = 1;
+      if (retimed && !is_internal) planes = 1;
       buf = plane * planes;
     } else {
       buf = (tx + 2 * r[0]) * (ty + 2 * r[1]) * (tz + 2 * r[2]);
@@ -126,16 +133,16 @@ KernelConfig config_from_pragma(const ir::Program& prog,
   return cfg;
 }
 
-KernelPlan build_plan(const ir::Program& prog,
-                      std::vector<ir::BoundStencil> stages,
-                      const KernelConfig& config,
-                      const gpumodel::DeviceSpec& dev,
-                      const BuildOptions& opts) {
+namespace {
+
+/// Fill in every config-independent field of `plan` from the stage list
+/// (everything but `stages` itself): merged analysis, per-stage geometry,
+/// the output domain, internal arrays and the base placement.
+void derive_base(const ir::Program& prog,
+                 const std::vector<ir::BoundStencil>& stages,
+                 const BuildOptions& opts, KernelPlan& plan) {
   ARTEMIS_CHECK_MSG(!stages.empty(), "cannot plan an empty stage list");
 
-  KernelPlan plan;
-  plan.config = config;
-  plan.time_tile = config.time_tile;
   plan.dims = static_cast<int>(prog.iterators.size());
   plan.iterators = prog.iterators;
 
@@ -256,26 +263,6 @@ KernelPlan build_plan(const ir::Program& prog,
     plan.domain = {dims_zyx[0], dims_zyx[1], dims_zyx[2]};
   }
 
-  // Launch validity.
-  if (config.threads_per_block() > dev.max_threads_per_block) {
-    throw PlanError(str_cat("block of ", config.threads_per_block(),
-                            " threads exceeds device limit ",
-                            dev.max_threads_per_block));
-  }
-  for (int a = 0; a < 3; ++a) {
-    if (config.block[static_cast<std::size_t>(a)] < 1 ||
-        config.unroll[static_cast<std::size_t>(a)] < 1) {
-      throw PlanError("block and unroll factors must be >= 1");
-    }
-  }
-  if (config.tiling != TilingScheme::Spatial3D &&
-      (config.stream_axis < 0 || config.stream_axis >= plan.dims)) {
-    throw PlanError("stream axis out of range");
-  }
-  if (config.tiling != TilingScheme::Spatial3D && plan.dims < 2) {
-    throw PlanError("streaming requires a 2D or 3D domain");
-  }
-
   // Internal arrays: outputs of non-final stages consumed only inside the
   // plan and not copied out.
   if (opts.fuse_internal && stages.size() > 1) {
@@ -307,28 +294,6 @@ KernelPlan build_plan(const ir::Program& prog,
         }
       }
     }
-  }
-
-  // Retiming (Section III-B2): legal only when every decomposed
-  // sub-statement is homogenizable along the streaming iterator.
-  if (config.retime && config.tiling != TilingScheme::Spatial3D) {
-    const int stream_iter = plan.dims - 1 - config.stream_axis;
-    bool all = true;
-    for (const auto& stage : stages) {
-      const auto rt = transform::try_retime(stage.stmts, stream_iter);
-      all &= rt.applied;
-    }
-    plan.retimed = all;
-  }
-
-  // Folding (Section III-B4).
-  if (config.fold) {
-    std::vector<ir::Stmt> all_stmts;
-    for (const auto& stage : stages) {
-      all_stmts.insert(all_stmts.end(), stage.stmts.begin(),
-                       stage.stmts.end());
-    }
-    plan.fold_groups = transform::find_fold_groups(all_stmts);
   }
 
   // --- residency assignment --------------------------------------------
@@ -364,41 +329,135 @@ KernelPlan build_plan(const ir::Program& prog,
     }
     plan.placement[name] = pl;
   }
+}
+
+}  // namespace
+
+StageTemplate::StageTemplate(const ir::Program& prog,
+                             std::vector<ir::BoundStencil> stages,
+                             const BuildOptions& opts) {
+  try {
+    derive_base(prog, stages, opts, base_);
+    accesses_ = count_accesses(stages);
+  } catch (...) {
+    failure_ = std::current_exception();
+  }
+  base_.stages = std::move(stages);
+}
+
+bool StageTemplate::retimes(int stream_iter) const {
+  const auto i = static_cast<std::size_t>(stream_iter);
+  std::call_once(retime_once_[i], [&] {
+    retimes_[i] = std::all_of(
+        base_.stages.begin(), base_.stages.end(),
+        [&](const ir::BoundStencil& stage) {
+          return transform::try_retime(stage.stmts, stream_iter).applied;
+        });
+  });
+  return retimes_[i];
+}
+
+const std::vector<std::vector<std::string>>& StageTemplate::fold_groups()
+    const {
+  std::call_once(fold_once_, [&] {
+    std::vector<ir::Stmt> all_stmts;
+    for (const auto& stage : base_.stages) {
+      all_stmts.insert(all_stmts.end(), stage.stmts.begin(),
+                       stage.stmts.end());
+    }
+    fold_groups_ = transform::find_fold_groups(all_stmts);
+  });
+  return fold_groups_;
+}
+
+struct StageTemplate::Fit {
+  bool retimed = false;
+  /// The template's fold groups when the config folds, else null.
+  const std::vector<std::vector<std::string>>* fold_groups = nullptr;
+  std::map<std::string, Placement> placement;
+  std::int64_t shmem_bytes = 0;
+
+  KernelPlan into(KernelPlan plan, const KernelConfig& config) && {
+    plan.config = config;
+    plan.time_tile = config.time_tile;
+    plan.retimed = retimed;
+    if (fold_groups != nullptr) plan.fold_groups = *fold_groups;
+    plan.placement = std::move(placement);
+    plan.shmem_bytes_per_block = shmem_bytes;
+    return plan;
+  }
+};
+
+StageTemplate::Fit StageTemplate::fit(const KernelConfig& config,
+                                      const gpumodel::DeviceSpec& dev) const {
+  if (failure_) std::rethrow_exception(failure_);
+  const int dims = base_.dims;
+
+  // Launch validity.
+  if (config.threads_per_block() > dev.max_threads_per_block) {
+    throw PlanError(str_cat("block of ", config.threads_per_block(),
+                            " threads exceeds device limit ",
+                            dev.max_threads_per_block));
+  }
+  for (int a = 0; a < 3; ++a) {
+    if (config.block[static_cast<std::size_t>(a)] < 1 ||
+        config.unroll[static_cast<std::size_t>(a)] < 1) {
+      throw PlanError("block and unroll factors must be >= 1");
+    }
+  }
+  if (config.tiling != TilingScheme::Spatial3D &&
+      (config.stream_axis < 0 || config.stream_axis >= dims)) {
+    throw PlanError("stream axis out of range");
+  }
+  if (config.tiling != TilingScheme::Spatial3D && dims < 2) {
+    throw PlanError("streaming requires a 2D or 3D domain");
+  }
+
+  Fit fit;
+  // Retiming (Section III-B2): legal only when every decomposed
+  // sub-statement is homogenizable along the streaming iterator.
+  if (config.retime && config.tiling != TilingScheme::Spatial3D) {
+    fit.retimed = retimes(dims - 1 - config.stream_axis);
+  }
+  // Folding (Section III-B4).
+  if (config.fold) fit.fold_groups = &fold_groups();
 
   // Attach fold groups to placements (fold only shared buffers).
-  for (std::size_t g = 0; g < plan.fold_groups.size(); ++g) {
-    bool all_shared = true;
-    for (const auto& name : plan.fold_groups[g]) {
-      if (plan.placement.at(name).space != ir::MemSpace::Shared) {
-        all_shared = false;
+  fit.placement = base_.placement;
+  if (fit.fold_groups != nullptr) {
+    const auto& groups = *fit.fold_groups;
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      bool all_shared = true;
+      for (const auto& name : groups[g]) {
+        if (fit.placement.at(name).space != ir::MemSpace::Shared) {
+          all_shared = false;
+        }
       }
-    }
-    if (all_shared) {
-      for (const auto& name : plan.fold_groups[g]) {
-        plan.placement.at(name).fold_group = static_cast<int>(g);
+      if (all_shared) {
+        for (const auto& name : groups[g]) {
+          fit.placement.at(name).fold_group = static_cast<int>(g);
+        }
       }
     }
   }
 
   // --- resource rationing -------------------------------------------------
-  plan.shmem_bytes_per_block = compute_shmem_bytes(plan);
-  const auto accesses = count_accesses(stages);
+  fit.shmem_bytes =
+      compute_shmem_bytes(base_, config, fit.retimed, fit.placement);
 
   // Without an occupancy target there is no rationing: like the naive
   // generators of Section II-B1, an over-capacity mapping simply forces a
   // smaller block (this configuration is infeasible). Demotion is the
   // user-guided resource-rationing extension of Section II-B2.
-  if (!config.target_occupancy &&
-      plan.shmem_bytes_per_block > dev.shmem_per_block) {
-    throw PlanError(str_cat("shared memory demand ",
-                            plan.shmem_bytes_per_block,
+  if (!config.target_occupancy && fit.shmem_bytes > dev.shmem_per_block) {
+    throw PlanError(str_cat("shared memory demand ", fit.shmem_bytes,
                             " B exceeds the device's ", dev.shmem_per_block,
                             " B per block; use a smaller block, pin arrays "
                             "to gmem with #assign, or set an occupancy "
                             "target to enable rationing"));
   }
 
-  auto shmem_limit = [&]() -> std::int64_t {
+  const std::int64_t shmem_limit = [&]() -> std::int64_t {
     std::int64_t limit = dev.shmem_per_block;
     if (config.target_occupancy) {
       const double target = *config.target_occupancy;
@@ -413,20 +472,21 @@ KernelPlan build_plan(const ir::Program& prog,
     return limit;
   }();
 
-  while (plan.shmem_bytes_per_block > shmem_limit) {
+  while (fit.shmem_bytes > shmem_limit) {
     // Demote the shared, non-pinned, non-internal array with the fewest
     // accesses. Internal arrays must stay shared (they carry fused data
     // between stages); if only internals remain over budget, fail.
     std::string victim;
     std::int64_t victim_accesses = 0;
-    for (const auto& [name, pl] : plan.placement) {
+    for (const auto& [name, pl] : fit.placement) {
       if (pl.space != ir::MemSpace::Shared || pl.user_pinned) continue;
-      if (std::find(plan.internal_arrays.begin(), plan.internal_arrays.end(),
-                    name) != plan.internal_arrays.end()) {
+      if (std::find(base_.internal_arrays.begin(),
+                    base_.internal_arrays.end(),
+                    name) != base_.internal_arrays.end()) {
         continue;
       }
-      const auto it = accesses.find(name);
-      const std::int64_t n = it == accesses.end() ? 0 : it->second;
+      const auto it = accesses_.find(name);
+      const std::int64_t n = it == accesses_.end() ? 0 : it->second;
       if (victim.empty() || n < victim_accesses) {
         victim = name;
         victim_accesses = n;
@@ -434,18 +494,32 @@ KernelPlan build_plan(const ir::Program& prog,
     }
     if (victim.empty()) {
       throw PlanError(str_cat(
-          "shared memory demand ", plan.shmem_bytes_per_block,
-          " B exceeds limit ", shmem_limit,
-          " B and no demotable buffer remains (block too large?)"));
+          "shared memory demand ", fit.shmem_bytes, " B exceeds limit ",
+          shmem_limit, " B and no demotable buffer remains (block too "
+          "large?)"));
     }
-    auto& pl = plan.placement.at(victim);
+    auto& pl = fit.placement.at(victim);
     pl.space = ir::MemSpace::Global;
     pl.fold_group = -1;
-    plan.shmem_bytes_per_block = compute_shmem_bytes(plan);
+    fit.shmem_bytes =
+        compute_shmem_bytes(base_, config, fit.retimed, fit.placement);
   }
+  return fit;
+}
 
-  plan.stages = std::move(stages);
-  return plan;
+KernelPlan configure(const StageTemplate& tmpl, const KernelConfig& config,
+                     const gpumodel::DeviceSpec& dev) {
+  // fit() runs to completion before the template is copied.
+  return tmpl.fit(config, dev).into(tmpl.base_, config);
+}
+
+KernelPlan build_plan(const ir::Program& prog,
+                      std::vector<ir::BoundStencil> stages,
+                      const KernelConfig& config,
+                      const gpumodel::DeviceSpec& dev,
+                      const BuildOptions& opts) {
+  StageTemplate tmpl(prog, std::move(stages), opts);
+  return tmpl.fit(config, dev).into(std::move(tmpl.base_), config);
 }
 
 KernelPlan build_plan_for_call(const ir::Program& prog,

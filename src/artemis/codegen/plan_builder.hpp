@@ -1,5 +1,10 @@
 #pragma once
 
+#include <array>
+#include <exception>
+#include <map>
+#include <mutex>
+#include <string>
 #include <vector>
 
 #include "artemis/codegen/plan.hpp"
@@ -17,8 +22,73 @@ struct BuildOptions {
   bool fuse_internal = true;
 };
 
+/// The config-independent half of a plan build: everything build_plan
+/// derives from the program, the stage list and the BuildOptions alone.
+/// A tuner builds one per (stage list, options) and calls configure() once
+/// per candidate, so the stage analysis runs once per tune instead of once
+/// per candidate.
+///
+/// Built eagerly: the merged StencilInfo, per-stage FLOPs, radii and
+/// overlapped-tiling expansion, per-array effective halos, the output
+/// domain, internal and materialized arrays, the base placement (with
+/// `#assign` pins) and per-array access counts. Built on first request,
+/// thread-safe: the retiming verdict per streaming iterator and the fold
+/// groups, which only retime/fold configurations need, so a one-shot
+/// build_plan does no work its config does not ask for.
+///
+/// A config-independent failure (no output statement, an undeclared
+/// output array) is captured here and rethrown by every configure(), so
+/// errors surface in the same order build_plan always raised them.
+class StageTemplate {
+ public:
+  StageTemplate(const ir::Program& prog, std::vector<ir::BoundStencil> stages,
+                const BuildOptions& opts = {});
+
+  StageTemplate(const StageTemplate&) = delete;
+  StageTemplate& operator=(const StageTemplate&) = delete;
+
+ private:
+  /// The config-dependent parts of one plan, decided before any copy of
+  /// the template is made.
+  struct Fit;
+
+  friend KernelPlan configure(const StageTemplate&, const KernelConfig&,
+                              const gpumodel::DeviceSpec&);
+  friend KernelPlan build_plan(const ir::Program&,
+                               std::vector<ir::BoundStencil>,
+                               const KernelConfig&,
+                               const gpumodel::DeviceSpec&,
+                               const BuildOptions&);
+
+  Fit fit(const KernelConfig& config, const gpumodel::DeviceSpec& dev) const;
+  bool retimes(int stream_iter) const;
+  const std::vector<std::vector<std::string>>& fold_groups() const;
+
+  /// Every config-independent KernelPlan field; the config-dependent ones
+  /// keep their defaults until configure() fills them in.
+  KernelPlan base_;
+  /// Syntactic accesses per array across all stages (rationing order).
+  std::map<std::string, std::int64_t> accesses_;
+  std::exception_ptr failure_;
+
+  mutable std::array<std::once_flag, 3> retime_once_;
+  mutable std::array<bool, 3> retimes_ = {false, false, false};
+  mutable std::once_flag fold_once_;
+  mutable std::vector<std::vector<std::string>> fold_groups_;
+};
+
+/// Specialize a template to one candidate configuration: launch
+/// validity, the retiming and folding decisions, shared memory per block
+/// and the resource-rationing loop (Sections II-B, III). All of it runs on
+/// a copy of the placement alone; the template is copied into a plan only
+/// once the configuration has passed, so infeasible candidates throw
+/// PlanError without a plan copy. Thread-safe on a shared template.
+KernelPlan configure(const StageTemplate& tmpl, const KernelConfig& config,
+                     const gpumodel::DeviceSpec& dev);
+
 /// Construct a fully-resolved KernelPlan for a (possibly fused) sequence
-/// of bound stencils.
+/// of bound stencils: configure(StageTemplate(prog, stages, opts), ...),
+/// moving the one-shot template into the plan instead of copying it.
 ///
 /// Responsibilities (Sections II-B, III, VI):
 ///  - merge per-stage analysis into combined info, halo radii, domain;

@@ -75,12 +75,15 @@ autotune::TuneResult tune_stages(const ir::Program& prog,
     span.arg("stages", Json(join(names, "+")));
     span.arg("shared_memory", Json(use_shmem));
   }
-  const BuildOptions opts{.use_shared_memory = use_shmem,
-                          .fuse_internal = true};
-  const autotune::PlanFactory factory =
-      [&prog, stages, &dev, opts](const KernelConfig& cfg) {
-        return codegen::build_plan(prog, stages, cfg, dev, opts);
-      };
+  // Analyze the stage list once; every candidate (and the baseline
+  // profile below) is a configure() of this template.
+  const codegen::StageTemplate tmpl(
+      prog, stages,
+      BuildOptions{.use_shared_memory = use_shmem, .fuse_internal = true});
+  const autotune::PlanFactory factory = [&tmpl,
+                                         &dev](const KernelConfig& cfg) {
+    return codegen::configure(tmpl, cfg, dev);
+  };
 
   KernelConfig seed =
       codegen::config_from_pragma(prog, stages.front().pragma,

@@ -387,10 +387,10 @@ CheckResult check_tuner_determinism(const ir::Program& prog,
   const auto dev = gpumodel::p100();
   const gpumodel::ModelParams params;
   const int dims = static_cast<int>(prog.iterators.size());
+  const codegen::StageTemplate tmpl(prog, transform::bind_all_calls(prog));
   const autotune::PlanFactory factory =
       [&](const codegen::KernelConfig& cfg) {
-        return codegen::build_plan(prog, transform::bind_all_calls(prog),
-                                   cfg, dev, {});
+        return codegen::configure(tmpl, cfg, dev);
       };
   const codegen::KernelConfig seed_cfg =
       codegen::config_from_pragma(prog, prog.stencils.front().pragma, dims);

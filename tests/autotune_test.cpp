@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -9,7 +10,10 @@
 #include "artemis/autotune/deep_tuning.hpp"
 #include "artemis/autotune/search.hpp"
 #include "artemis/codegen/plan_builder.hpp"
+#include "artemis/dsl/parser.hpp"
+#include "artemis/gpumodel/registers.hpp"
 #include "artemis/stencils/benchmarks.hpp"
+#include "artemis/transform/fusion.hpp"
 #include "test_programs.hpp"
 
 namespace artemis::autotune {
@@ -194,6 +198,101 @@ TEST_F(AutotuneTest, RegisterEscalationSkipsSpillingBudgets) {
   // must have skipped small budgets.
   EXPECT_GT(r.skipped_spilling, 0);
   EXPECT_GE(r.best.config.max_registers, 128);
+}
+
+/// Residency of every array, as one comparable line.
+std::string placement_line(const codegen::KernelPlan& plan) {
+  std::string line;
+  for (const auto& [name, pl] : plan.placement) {
+    line += name + ":" + std::to_string(static_cast<int>(pl.space)) + "/" +
+            std::to_string(pl.fold_group) + (pl.user_pinned ? "p " : " ");
+  }
+  return line;
+}
+
+// The precondition of one-build register escalation: neither a plan nor
+// its register estimate reads max_registers, so the plan a candidate
+// builds once serves every budget. Checked on every candidate the
+// hierarchical tuner builds, at every budget, for two paper stencils with
+// retimed candidates and for a stencil whose candidates fold (no Table I
+// stencil has a fold group). Fails as soon as planning or the estimate
+// starts to depend on the budget.
+TEST_F(AutotuneTest, PlansAndRegisterEstimatesIgnoreTheBudget) {
+  const auto paper = [](const std::string& name) {
+    const ir::Program prog = stencils::benchmark_program(name);
+    if (prog.steps[0].kind == ir::Step::Kind::Iterate) {
+      auto tt = transform::time_tile_iterate(prog, prog.steps[0], 1);
+      return std::make_pair(std::move(tt.augmented), std::move(tt.stages));
+    }
+    return std::make_pair(prog, transform::bind_all_calls(prog));
+  };
+  const ir::Program folding = dsl::parse(R"(
+    parameter L=64, M=64, N=64;
+    iterator k, j, i;
+    double a[L,M,N], b[L,M,N], o[L,M,N];
+    copyin a, b;
+    stencil s (O, A, B) {
+      O[k][j][i] = A[k][j][i]*B[k][j][i] + A[k][j][i+1]*B[k][j][i+1]
+                 + A[k][j-1][i]*B[k][j-1][i] + A[k+1][j][i]*B[k+1][j][i];
+    }
+    s (o, a, b);
+    copyout o;
+  )");
+  const std::vector<std::pair<ir::Program, std::vector<ir::BoundStencil>>>
+      cases = {paper("7pt-smoother"), paper("hypterm"),
+               {folding, transform::bind_all_calls(folding)}};
+
+  const std::vector<int> budgets = TuneOptions{}.register_budgets;
+  bool retimed = false, folded = false;
+  for (const auto& [prog, stages] : cases) {
+    const codegen::StageTemplate tmpl(prog, stages);
+    std::vector<KernelConfig> built;
+    const PlanFactory factory = [&](const KernelConfig& cfg) {
+      built.push_back(cfg);
+      return codegen::configure(tmpl, cfg, dev_);
+    };
+    KernelConfig seed = codegen::config_from_pragma(
+        prog, stages.front().pragma, static_cast<int>(prog.iterators.size()));
+    seed.retime = true;
+    seed.fold = true;
+    TuneOptions opts;
+    opts.jobs = 1;
+    (void)hierarchical_tune(factory, seed, dev_, params_, opts);
+    ASSERT_GT(built.size(), 100u);
+
+    for (KernelConfig cfg : built) {
+      std::optional<codegen::KernelPlan> first;
+      for (const int budget : budgets) {
+        cfg.max_registers = budget;
+        std::optional<codegen::KernelPlan> plan;
+        try {
+          plan = codegen::configure(tmpl, cfg, dev_);
+        } catch (const PlanError&) {
+        }
+        if (budget == budgets.front()) {
+          first = std::move(plan);
+          continue;
+        }
+        const std::string what = serialize_config(cfg);
+        ASSERT_EQ(plan.has_value(), first.has_value()) << what;
+        if (!plan) continue;
+        EXPECT_EQ(gpumodel::estimate_registers(*plan).total,
+                  gpumodel::estimate_registers(*first).total)
+            << what;
+        EXPECT_EQ(plan->shmem_bytes_per_block, first->shmem_bytes_per_block)
+            << what;
+        EXPECT_EQ(placement_line(*plan), placement_line(*first)) << what;
+        EXPECT_EQ(plan->retimed, first->retimed) << what;
+        EXPECT_EQ(plan->fold_groups, first->fold_groups) << what;
+      }
+      if (first) {
+        retimed |= first->retimed;
+        folded |= !first->fold_groups.empty();
+      }
+    }
+  }
+  EXPECT_TRUE(retimed) << "no retimed candidate: the check lost its reach";
+  EXPECT_TRUE(folded) << "no folded candidate: the check lost its reach";
 }
 
 TEST_F(AutotuneTest, InfeasibleSpaceThrowsPlanError) {
