@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <limits>
-#include <numeric>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -12,7 +10,6 @@
 #include "artemis/common/parallel.hpp"
 #include "artemis/common/rng.hpp"
 #include "artemis/common/str.hpp"
-#include "artemis/metrics/compare.hpp"
 #include "artemis/robust/fault_injection.hpp"
 #include "artemis/telemetry/telemetry.hpp"
 
@@ -105,12 +102,6 @@ struct EvalContext {
   robust::CandidateRunner runner;
   TuneResult* result;
 
-  // Model-vs-simulation agreement accumulated across this search's
-  // model-filtered sweeps (model_prune_k): one (model score, committed
-  // simulated time) pair per evaluated survivor.
-  std::vector<double> model_scores;
-  std::vector<double> sim_times;
-
   EvalContext(const PlanFactory& f, const gpumodel::DeviceSpec& d,
               const gpumodel::ModelParams& p, const TuneOptions& o,
               TuneResult* r)
@@ -186,16 +177,6 @@ BuiltPlan build_settled(const PlanFactory& factory, KernelConfig& cfg,
   return built;
 }
 
-/// The model's evaluation of `cfg`, on escalation's plan when `built`
-/// carries one and on a fresh build otherwise.
-gpumodel::KernelEval evaluate_config(const EvalContext& ctx,
-                                     const KernelConfig& cfg,
-                                     const BuiltPlan& built) {
-  if (built.error) std::rethrow_exception(built.error);
-  if (built.plan) return gpumodel::evaluate(*built.plan, ctx.dev, ctx.params);
-  return gpumodel::evaluate(ctx.factory(cfg), ctx.dev, ctx.params);
-}
-
 /// The thread-safe half of try-one-configuration: journal lookup (the
 /// replay map is immutable during a run), plan construction (unless
 /// `built` carries it), and the measurement through the resilient runner.
@@ -205,7 +186,15 @@ EvalOutcome evaluate_candidate(EvalContext& ctx, const KernelConfig& cfg,
                                const BuiltPlan& built) {
   EvalOutcome eo;
   if (ctx.needs_key()) eo.key = ctx.candidate_key(cfg);
-  const auto evaluate = [&] { return evaluate_config(ctx, cfg, built); };
+  // The model's evaluation of `cfg`, on escalation's plan when `built`
+  // carries one and on a fresh build otherwise.
+  const auto evaluate = [&] {
+    if (built.error) std::rethrow_exception(built.error);
+    if (built.plan) {
+      return gpumodel::evaluate(*built.plan, ctx.dev, ctx.params);
+    }
+    return gpumodel::evaluate(ctx.factory(cfg), ctx.dev, ctx.params);
+  };
 
   // Replay: a resumed journal already holds this candidate's outcome, so
   // the (expensive, possibly faulty) measurement is skipped. The cheap
@@ -455,90 +444,6 @@ class Leaderboard {
   std::vector<Entry> entries_;
 };
 
-/// Analytical pre-filter (TuneOptions::model_prune_k, after Ernst et
-/// al.): score every enumerated configuration with the pure model and
-/// keep only the best k for simulation. Scoring is a pure function of
-/// (config, device, params) — evaluated across the pool when one is
-/// available — and selection uses the total order (score, canonical
-/// config key), so the surviving set and its enumeration order are
-/// identical for any `jobs`. Infeasible plans and invalid launches score
-/// +inf and are pruned first. `scores_out` receives the survivors'
-/// model scores (aligned with the returned list) when the filter ran,
-/// and is left empty when it did not.
-std::vector<KernelConfig> model_prefilter(EvalContext& ctx, TaskPool* pool,
-                                          const char* stage,
-                                          std::vector<KernelConfig> raw,
-                                          bool escalate_budget,
-                                          std::vector<double>* scores_out) {
-  scores_out->clear();
-  const std::int64_t n = static_cast<std::int64_t>(raw.size());
-  const int k = ctx.opts.model_prune_k;
-  if (k <= 0 || n <= k) return raw;
-
-  std::vector<double> scores(raw.size(), 0.0);
-  const auto score_one = [&](std::int64_t i) {
-    KernelConfig cfg = raw[static_cast<std::size_t>(i)];
-    double s = std::numeric_limits<double>::infinity();
-    try {
-      // Skipped budgets are left uncounted here: a survivor's own
-      // escalation in run_candidates counts them, once.
-      const BuiltPlan built =
-          escalate_budget
-              ? build_settled(ctx.factory, cfg, ctx.opts.register_budgets)
-              : BuiltPlan{};
-      const gpumodel::KernelEval ev = evaluate_config(ctx, cfg, built);
-      if (ev.valid) s = ev.time_s;
-    } catch (const PlanError&) {
-    }
-    scores[static_cast<std::size_t>(i)] = s;
-  };
-  if (pool != nullptr && pool->parallelism() >= 2) {
-    pool->for_each(n, score_one);
-  } else {
-    for (std::int64_t i = 0; i < n; ++i) score_one(i);
-  }
-
-  std::vector<std::string> keys(raw.size());
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    keys[i] = serialize_config(raw[i]);
-  }
-  std::vector<std::int64_t> order(raw.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&](std::int64_t a, std::int64_t b) {
-              const double sa = scores[static_cast<std::size_t>(a)];
-              const double sb = scores[static_cast<std::size_t>(b)];
-              if (sa != sb) return sa < sb;
-              return keys[static_cast<std::size_t>(a)] <
-                     keys[static_cast<std::size_t>(b)];
-            });
-  order.resize(static_cast<std::size_t>(k));
-  // Survivors keep their enumeration order, so everything downstream
-  // (journal bytes, telemetry, leaderboard commits) sees the same
-  // schedule a hand-pruned enumeration would produce.
-  std::sort(order.begin(), order.end());
-
-  std::vector<KernelConfig> kept;
-  kept.reserve(static_cast<std::size_t>(k));
-  scores_out->reserve(static_cast<std::size_t>(k));
-  for (const std::int64_t i : order) {
-    kept.push_back(std::move(raw[static_cast<std::size_t>(i)]));
-    scores_out->push_back(scores[static_cast<std::size_t>(i)]);
-  }
-
-  const std::int64_t pruned = n - k;
-  ctx.result->model_pruned += static_cast<int>(pruned);
-  telemetry::counter_add("tuner.model_pruned", pruned);
-  if (telemetry::enabled()) {
-    telemetry::instant("tuner.model_filter", "tune",
-                       {{"stage", Json(std::string(stage))},
-                        {"considered", Json(n)},
-                        {"kept", Json(static_cast<std::int64_t>(k))},
-                        {"pruned", Json(pruned)}});
-  }
-  return kept;
-}
-
 /// Drive one sweep: evaluate `raw` configurations (optionally settling
 /// each one's register budget first) and fold them into the board and
 /// the counters with results identical to the serial loop for any pool.
@@ -558,13 +463,6 @@ std::vector<KernelConfig> model_prefilter(EvalContext& ctx, TaskPool* pool,
 void run_candidates(EvalContext& ctx, TaskPool* pool, const char* stage,
                     std::vector<KernelConfig> raw, bool escalate_budget,
                     int& evaluated_counter, Leaderboard& board) {
-  // Model-guided pruning happens before anything else sees the sweep:
-  // the survivors flow through the unchanged evaluate/commit machinery,
-  // so a pruned sweep is bit-indistinguishable from enumerating only the
-  // survivors in the first place.
-  std::vector<double> model_scores;
-  raw = model_prefilter(ctx, pool, stage, std::move(raw), escalate_budget,
-                        &model_scores);
   const std::int64_t n = static_cast<std::int64_t>(raw.size());
   if (n == 0) return;
 
@@ -588,25 +486,13 @@ void run_candidates(EvalContext& ctx, TaskPool* pool, const char* stage,
     p.cfg = std::move(cfg);
   };
 
-  // (model score, simulated time) pairs for this sweep's evaluated
-  // survivors; collected on the serial commit path, in enumeration
-  // order, so the rank-correlation stream is jobs-invariant too.
-  std::int64_t committed = 0;
-  std::vector<double> sweep_model;
-  std::vector<double> sweep_sim;
-
   const auto commit = [&](Prepared& p) {
-    const std::int64_t slot = committed++;
     ctx.result->skipped_spilling += p.spill_pruned;
     ++evaluated_counter;
     auto cand = commit_candidate(ctx, p.cfg, p.eo, stage, p.spill_pruned);
     if (!cand) {
       ++ctx.result->infeasible;
       return;
-    }
-    if (!model_scores.empty()) {
-      sweep_model.push_back(model_scores[static_cast<std::size_t>(slot)]);
-      sweep_sim.push_back(cand->time_s);
     }
     board.insert(std::move(*cand));
   };
@@ -655,30 +541,6 @@ void run_candidates(EvalContext& ctx, TaskPool* pool, const char* stage,
       }
     }
   }
-
-  if (!model_scores.empty() && !sweep_model.empty()) {
-    ctx.model_scores.insert(ctx.model_scores.end(), sweep_model.begin(),
-                            sweep_model.end());
-    ctx.sim_times.insert(ctx.sim_times.end(), sweep_sim.begin(),
-                         sweep_sim.end());
-    if (telemetry::enabled() && sweep_model.size() >= 2) {
-      telemetry::instant(
-          "tuner.model_rank", "tune",
-          {{"stage", Json(std::string(stage))},
-           {"spearman", Json(metrics::spearman(sweep_model, sweep_sim))},
-           {"candidates",
-            Json(static_cast<std::int64_t>(sweep_model.size()))}});
-    }
-  }
-}
-
-/// Fold the accumulated model-vs-sim pairs into the result's run-level
-/// Spearman (meaningful only when the pre-filter ran for some sweep).
-void settle_model_rank(EvalContext& ctx) {
-  if (ctx.model_scores.size() < 2) return;
-  ctx.result->model_sim_spearman =
-      metrics::spearman(ctx.model_scores, ctx.sim_times);
-  ctx.result->has_model_sim_spearman = true;
 }
 
 /// Close a search into ctx.result: the board best first, or the degraded
@@ -693,7 +555,6 @@ void finish_search(EvalContext& ctx, const KernelConfig& seed,
     if (!fallback) throw PlanError(empty_what);
     result.leaderboard.push_back(std::move(*fallback));
   }
-  settle_model_rank(ctx);
   result.quarantined = ctx.runner.quarantined_count();
   result.best = result.leaderboard.front();
 }

@@ -85,16 +85,6 @@ struct TuneOptions {
   /// serialization. Nested searches (e.g. deep tuning's inner sweeps
   /// running on pool workers) automatically drop to jobs=1.
   int jobs = 1;
-  /// Model-guided search pruning (ROADMAP item 2, after Ernst et al.):
-  /// when > 0, each sweep's enumerated space is ranked by the analytical
-  /// model (gpumodel::evaluate) and only the best `model_prune_k`
-  /// candidates per sweep reach simulation; the rest are counted in
-  /// `tuner.model_pruned`. The filter is a pure function of the
-  /// enumeration, so plans and journal bytes remain identical for any
-  /// `jobs`. 0 (the default) disables the filter and reproduces the
-  /// unpruned tuner byte-for-byte. Choose a value >= top_k, or stage-2
-  /// refinement may see fewer survivors than it would unpruned.
-  int model_prune_k = 0;
 };
 
 /// One evaluated configuration.
@@ -119,15 +109,6 @@ struct TuneResult {
   int unstable = 0;       ///< candidates lost to MeasurementUnstable
   int quarantined = 0;    ///< keys quarantined during this run
   int journal_hits = 0;   ///< candidates replayed from a resumed journal
-  /// Candidates skipped by the analytical pre-filter (model_prune_k).
-  int model_pruned = 0;
-  /// Spearman rank correlation between the analytical model's scores and
-  /// the committed simulation times over all model-filtered sweeps. Only
-  /// meaningful when `has_model_sim_spearman` (the filter ran and at
-  /// least two survivors were evaluated); 1.0 in clean runs, where the
-  /// simulated time is the model time.
-  double model_sim_spearman = 1.0;
-  bool has_model_sim_spearman = false;
   /// The search came up empty and fell back to the baseline seed config
   /// instead of throwing (a telemetry warning was emitted).
   bool degraded = false;

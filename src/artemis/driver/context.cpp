@@ -123,7 +123,6 @@ TuneOutcome ArtemisContext::tune(const std::string& source,
   // request-local, so concurrent tunes never share mutable state.
   Strategy strat = opts_.strategy;
   strat.tune.jobs = opts_.jobs;
-  if (req.model_prune_k >= 0) strat.tune.model_prune_k = req.model_prune_k;
 
   // Crash-safe evaluation journal, scoped to this request.
   robust::TuningJournal journal(*vfs_);

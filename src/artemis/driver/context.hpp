@@ -64,11 +64,6 @@ struct TuneRequest {
   /// reports the hit but still re-optimizes, preserving artemisc
   /// behavior.
   bool reuse_stored_plan = false;
-  /// Override the strategy's model-guided pruning strength
-  /// (TuneOptions::model_prune_k) for this request. < 0 keeps the
-  /// context strategy's value; 0 disables the pre-filter; > 0 caps each
-  /// sweep at that many simulation evaluations.
-  int model_prune_k = -1;
 };
 
 /// Everything one tune produced. `record`/`plan_bytes` are the canonical

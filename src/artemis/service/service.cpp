@@ -187,22 +187,6 @@ Json ArtemisService::do_tune(const Request& req) {
   }
   const std::string& key = info.plan_key;
 
-  // Optional model-guided pruning override (docs/SERVICE.md), validated
-  // up front so a malformed request fails the same way on every path.
-  // The dedup key stays the plan key: the analytical pre-filter is
-  // designed to reproduce the unpruned plan, so requests differing only
-  // in model_prune_k coalesce onto one evaluation.
-  int model_prune_k = -1;
-  if (req.params.contains("model_prune_k")) {
-    const Json& k = req.params["model_prune_k"];
-    if (!k.is_number() || k.as_int() < 0 ||
-        static_cast<double>(k.as_int()) != k.as_double()) {
-      throw ServiceError(errc::kBadRequest,
-                         "'model_prune_k' must be a non-negative integer");
-    }
-    model_prune_k = static_cast<int>(k.as_int());
-  }
-
   // Fast path: the plan is already published. No locks, no dedup — the
   // store read is the whole request.
   if (auto hit = ctx_.stored_plan(key)) {
@@ -261,7 +245,6 @@ Json ArtemisService::do_tune(const Request& req) {
     treq.journal_path = str_cat(opts_.journal_dir, "/", key, ".wal");
     treq.resume = true;
   }
-  treq.model_prune_k = model_prune_k;
   driver::TuneOutcome outcome;
   try {
     outcome = ctx_.tune(source, treq);

@@ -186,7 +186,6 @@ ExecCounters execute_plan(const KernelPlan& plan, GridSet& gs,
   span.arg("engine", Json(engine_name(opts.engine)));
   robust::fault_point("sim.execute", plan.name);
   const bool hooked = static_cast<bool>(opts.global_hook);
-  const bool serial = opts.serial || hooked;
   PlanTrace* trace = opts.trace;
   if (trace != nullptr) {
     ARTEMIS_CHECK_MSG(!hooked, "counting mode (ExecOptions::trace) and the "
@@ -589,8 +588,9 @@ ExecCounters execute_plan(const KernelPlan& plan, GridSet& gs,
     block_counters[static_cast<std::size_t>(b)] = c;
   };
 
+  // A hooked run stays serial so the hook sees accesses in block order.
   int jobs = 1;
-  if (!serial) {
+  if (!hooked) {
     jobs = opts.jobs > 0 ? opts.jobs : default_jobs();
     jobs = static_cast<int>(
         std::min<std::int64_t>(jobs, std::max<std::int64_t>(total_blocks, 1)));

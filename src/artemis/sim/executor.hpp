@@ -68,8 +68,6 @@ struct PlanTrace {
 /// global-space element access (reads and committed writes) in a
 /// deterministic single-threaded block order.
 struct ExecOptions {
-  /// Force single-threaded, block-id-ordered execution (implied by hook).
-  bool serial = false;
   /// Worker count for the block sweep; 0 resolves to default_jobs().
   int jobs = 0;
   SimEngine engine = SimEngine::Bytecode;

@@ -119,8 +119,8 @@ Json build_run_report(const ReportMeta& meta,
   // infeasible (every enumerated configuration is either evaluated on the
   // model or rejected as infeasible), with pruned_spill_budgets counting
   // the register-budget escalation steps skipped on top, and
-  // space.enumerated == enumerated + model_pruned (the analytical
-  // pre-filter skims candidates between enumeration and evaluation).
+  // space.enumerated == enumerated (every configuration a sweep enumerates
+  // is committed once, journal replays included).
   Json tuner = Json::object();
   const auto counter = [&](const char* name) -> std::int64_t {
     const auto it = counters.find(name);
@@ -131,12 +131,6 @@ Json build_run_report(const ReportMeta& meta,
   tuner.set("infeasible", counter("tuner.infeasible"));
   tuner.set("pruned_spill_budgets", counter("tuner.pruned_spill_budgets"));
   tuner.set("journal_hits", counter("tuner.journal_hits"));
-  // Model-guided pruning (--model-prune-k): candidates the analytical
-  // pre-filter kept from simulation, plus the per-sweep filter summaries
-  // and the per-sweep model-vs-sim Spearman rank correlations.
-  tuner.set("model_pruned", counter("tuner.model_pruned"));
-  tuner.set("model_filter", events_named(events, "tuner.model_filter"));
-  tuner.set("model_rank", events_named(events, "tuner.model_rank"));
   tuner.set("candidates", events_named(events, "tuner.candidate"));
   // Search observability: leaderboard-front changes (serial commit order,
   // so identical at any jobs value) and search-space coverage — what each

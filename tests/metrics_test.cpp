@@ -352,13 +352,15 @@ TEST_F(ObservabilityJournalTest, JournalBytesIdenticalWithEventsOn) {
       const auto it = counters.find(name);
       return it == counters.end() ? 0 : it->second;
     };
-    // The new observability counters fired, and coverage never exceeds
-    // the unpruned cross product.
+    // The new observability counters fired, coverage never exceeds the
+    // unpruned cross product, and every configuration a sweep enumerates
+    // is committed exactly once.
     EXPECT_GT(counter("tuner.leaderboard_changes"), 0);
     EXPECT_GT(counter("tuner.space_unpruned"), 0);
     EXPECT_GT(counter("tuner.space_enumerated"), 0);
     EXPECT_LE(counter("tuner.space_enumerated"),
               counter("tuner.space_unpruned"));
+    EXPECT_EQ(counter("tuner.space_enumerated"), counter("tuner.enumerated"));
     telemetry::Collector::global().disable();
 
     if (jobs == 1) {

@@ -227,15 +227,14 @@ TEST_F(TelemetryTest, RunReportRoundTripsAndCountersSumConsistently) {
                      "profile", "phases"});
   expect_keys(back["tuner"],
               {"enumerated", "evaluated", "infeasible",
-               "pruned_spill_budgets", "journal_hits", "model_pruned",
-               "model_filter", "model_rank", "candidates",
+               "pruned_spill_budgets", "journal_hits", "candidates",
                "leaderboard_changes", "leaderboard_events", "space"});
   expect_keys(back["resilience"],
               {"eval_crashes", "eval_timeouts", "eval_unstable",
                "eval_retries", "quarantined", "quarantine_skips", "degraded",
                "journal_records", "journal_replayed", "journal_parse_errors",
                "journal_write_errors", "dropped_candidates", "dropped"});
-  EXPECT_EQ(back["report_version"].as_int(), 2);
+  EXPECT_EQ(back["report_version"].as_int(), 3);
   EXPECT_EQ(back["report_version"].as_int(), kReportVersion);
   EXPECT_EQ(back["source"].as_string(), "jacobi-iterative.dsl");
   EXPECT_EQ(back["strategy"].as_string(), "artemis");

@@ -62,10 +62,6 @@ int usage(const char* argv0) {
                "       [--strategy artemis|ppcg|stencilgen|global|"
                "global-stream]\n"
                "       [--device k40|p100|v100|a100|h100]\n"
-               "       [--model-prune-k N]    analytical pre-filter: "
-               "simulate only the\n"
-               "                              model's top N candidates per "
-               "sweep (0 = off)\n"
                "       [--emit-cuda]          print the generated CUDA\n"
                "       [--profile]            per-kernel OI/roofline report\n"
                "       [--run]                functional run + checksum\n"
@@ -264,7 +260,6 @@ int main(int argc, char** argv) {
   bool verify_mode = false;
   verify::VerifyOptions vopts;
   int jobs = 0;  // 0 = hardware concurrency; the plan is jobs-invariant
-  int model_prune_k = -1;  // < 0 = keep the strategy's default
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -298,17 +293,6 @@ int main(int argc, char** argv) {
       }
       if (jobs < 1) {
         std::fprintf(stderr, "artemisc: --jobs expects an integer >= 1\n");
-        return 2;
-      }
-    } else if (arg == "--model-prune-k" && i + 1 < argc) {
-      try {
-        model_prune_k = std::stoi(argv[++i]);
-      } catch (const std::exception&) {
-        model_prune_k = -1;
-      }
-      if (model_prune_k < 0) {
-        std::fprintf(stderr,
-                     "artemisc: --model-prune-k expects an integer >= 0\n");
         return 2;
       }
     } else if (arg == "--compare") {
@@ -406,7 +390,6 @@ int main(int argc, char** argv) {
     const auto dev = driver::device_by_name(device_name);
     const gpumodel::ModelParams params;
     auto strat = driver::strategy_by_name(strategy_name);
-    if (model_prune_k >= 0) strat.tune.model_prune_k = model_prune_k;
 
     // Tuning parallelism. 0 resolves to hardware concurrency; the chosen
     // plan is identical for every value (deterministic ordered commit),

@@ -33,11 +33,7 @@ int usage(const char* argv0) {
                "       [--strategy artemis|ppcg|stencilgen|global|"
                "global-stream]\n"
                "       [--device k40|p100|v100|a100|h100]\n"
-               "       [--jobs N]             tuning parallelism\n"
-               "       [--model-prune-k N]    analytical pre-filter default "
-               "for tunes\n"
-               "                              (per-request override: "
-               "'model_prune_k')\n",
+               "       [--jobs N]             tuning parallelism\n",
                argv0);
   return 2;
 }
@@ -49,7 +45,6 @@ int main(int argc, char** argv) {
   std::string strategy_name = "artemis";
   std::string device_name = "p100";
   int jobs = 0;
-  int model_prune_k = -1;  // < 0 = keep the strategy's default
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -73,17 +68,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "artemisd: --jobs expects an integer >= 1\n");
         return 2;
       }
-    } else if (arg == "--model-prune-k" && i + 1 < argc) {
-      try {
-        model_prune_k = std::stoi(argv[++i]);
-      } catch (const std::exception&) {
-        model_prune_k = -1;
-      }
-      if (model_prune_k < 0) {
-        std::fprintf(stderr,
-                     "artemisd: --model-prune-k expects an integer >= 0\n");
-        return 2;
-      }
     } else {
       return usage(argv[0]);
     }
@@ -95,9 +79,6 @@ int main(int argc, char** argv) {
     service::ServiceOptions opts;
     opts.context.device = driver::device_by_name(device_name);
     opts.context.strategy = driver::strategy_by_name(strategy_name);
-    if (model_prune_k >= 0) {
-      opts.context.strategy.tune.model_prune_k = model_prune_k;
-    }
     opts.context.jobs = jobs;
     opts.context.store_root = store_path;
     opts.journal_dir = journal_dir;
