@@ -5,11 +5,12 @@
 
 namespace artemis::gpumodel {
 
-/// A set-associative LRU cache simulator, used to *validate* the analytic
-/// model's L2 constants rather than to drive tuning (Section IV dismisses
-/// cycle-accurate simulation as too slow for bottleneck analysis; this is
-/// the cheap trace-level middle ground, replayed only on small domains by
-/// the validation harness).
+/// A set-associative LRU cache simulator: the L2 that metrics::measure_plan
+/// replays counting-mode line streams through, and the cache the
+/// validation harness checks the analytic model's L2 constants against.
+/// Neither drives tuning (Section IV dismisses cycle-accurate simulation as
+/// too slow for bottleneck analysis; this is the cheap trace-level middle
+/// ground, replayed on small domains).
 class CacheSim {
  public:
   /// `capacity_bytes` rounded to sets x ways x line_bytes.
@@ -39,17 +40,15 @@ class CacheSim {
   }
 
  private:
-  struct Way {
-    std::uint64_t tag = ~0ull;
-    std::uint64_t last_use = 0;
-    bool valid = false;
-  };
-
   int line_bytes_;
+  int line_shift_;  ///< log2(line_bytes_)
   int ways_;
   std::size_t num_sets_;
-  std::vector<Way> ways_storage_;  ///< num_sets x ways
-  std::uint64_t clock_ = 0;
+  /// num_sets x ways line ids. Each set keeps its first fill_[set] slots
+  /// in most-recently-used order; under LRU whether an access hits
+  /// depends only on that order, so no timestamps are kept.
+  std::vector<std::uint64_t> tags_;
+  std::vector<std::uint32_t> fill_;  ///< valid slots per set
   std::int64_t hits_ = 0;
   std::int64_t misses_ = 0;
 };

@@ -100,10 +100,15 @@ struct PlanMetrics {
 };
 
 /// Execute `plan` over `gs` in counting mode and derive measured metrics.
-/// The grids end up bit-identical to a plain execute_plan; overhead is
-/// bounded by bench/metrics_overhead (<2x plain bytecode execution).
-/// `base` seeds the execution options (jobs, serial); its engine must be
-/// (or is forced to) the bytecode engine and its hook must be empty.
+/// Counting always runs on the strict native engine, whose line streams,
+/// counters and grids are bit-identical to the bytecode engine's (rim
+/// points and stages the native lowering refuses run on bytecode), so the
+/// grids end up bit-identical to a plain strict execute_plan. `base` seeds
+/// the execution options (jobs); its engine and fast-math flag are
+/// overridden and its hook must be empty. On perfbench's sim-measure
+/// kernels a call costs 30-87 ms on a 4-vCPU host, split roughly evenly
+/// between the native counting run and the L2 replay (traced
+/// `metrics.measure_ms`; docs/PERFORMANCE.md, "Measurement cost").
 PlanMetrics measure_plan(const codegen::KernelPlan& plan, sim::GridSet& gs,
                          const gpumodel::DeviceSpec& dev,
                          const sim::ExecOptions& base = {});

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <vector>
+
 #include "artemis/common/check.hpp"
+#include "artemis/common/rng.hpp"
 #include "artemis/gpumodel/cache_sim.hpp"
 
 namespace artemis::gpumodel {
@@ -129,6 +134,117 @@ TEST(CacheSim, ZeroAccessesReportCleanStats) {
   EXPECT_EQ(c.accesses(), 0);
   EXPECT_EQ(c.hit_rate(), 0.0);
   EXPECT_EQ(c.miss_bytes(), 0);
+}
+
+/// Textbook LRU with the same geometry rounding as CacheSim: one recency
+/// list per set, most recently used first.
+class ReferenceLru {
+ public:
+  ReferenceLru(std::int64_t capacity_bytes, int line_bytes, int ways)
+      : line_bytes_(static_cast<std::uint64_t>(line_bytes)),
+        ways_(static_cast<std::size_t>(ways)) {
+    const std::int64_t sets = capacity_bytes / line_bytes / ways;
+    sets_.resize(static_cast<std::size_t>(std::max<std::int64_t>(sets, 1)));
+  }
+
+  bool access(std::uint64_t addr) {
+    const std::uint64_t line = addr / line_bytes_;
+    std::list<std::uint64_t>& set = sets_[line % sets_.size()];
+    const auto it = std::find(set.begin(), set.end(), line);
+    const bool hit = it != set.end();
+    if (hit) {
+      set.erase(it);
+    } else if (set.size() == ways_) {
+      set.pop_back();
+    }
+    set.push_front(line);
+    ++(hit ? hits : misses);
+    return hit;
+  }
+
+  void reset() {
+    for (auto& set : sets_) set.clear();
+    hits = misses = 0;
+  }
+
+  std::int64_t capacity_bytes() const {
+    return static_cast<std::int64_t>(sets_.size() * ways_ * line_bytes_);
+  }
+
+  std::int64_t hits = 0;
+  std::int64_t misses = 0;
+
+ private:
+  std::uint64_t line_bytes_;
+  std::size_t ways_;
+  std::vector<std::list<std::uint64_t>> sets_;
+};
+
+/// A seeded address stream over about twice the cache's lines: half the
+/// accesses revisit a line near the previous one, the rest jump anywhere,
+/// so the stream mixes hits, conflict misses and capacity evictions.
+std::vector<std::uint64_t> reuse_stream(Rng& rng, std::int64_t capacity_lines,
+                                        int line_bytes, std::size_t n) {
+  const std::int64_t span = 2 * capacity_lines + 7;
+  std::vector<std::uint64_t> addrs;
+  addrs.reserve(n);
+  std::int64_t line = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (rng.uniform_int(0, 1) == 0) {
+      line = std::clamp<std::int64_t>(line + rng.uniform_int(-3, 3), 0,
+                                      span - 1);
+    } else {
+      line = rng.uniform_int(0, span - 1);
+    }
+    addrs.push_back(static_cast<std::uint64_t>(
+        line * line_bytes + rng.uniform_int(0, line_bytes - 1)));
+  }
+  return addrs;
+}
+
+TEST(CacheSim, MatchesReferenceLruOnRandomStreams) {
+  struct Geometry {
+    std::int64_t capacity_bytes;
+    int line_bytes;
+    int ways;
+  };
+  const Geometry geometries[] = {
+      {1024, 32, 1},            // 32 sets
+      {96 * 32, 32, 2},         // 48 sets
+      {7 * 4 * 64, 64, 4},      // 7 sets
+      {4 << 20, 32, 16},        // 8192 sets: the P100 L2
+      {6 << 20, 32, 16},        // 12288 sets
+      {100, 32, 16},            // fewer lines than ways: one set
+  };
+  Rng rng(0xCAC4E);
+  for (const Geometry& g : geometries) {
+    CacheSim sim(g.capacity_bytes, g.line_bytes, g.ways);
+    ReferenceLru ref(g.capacity_bytes, g.line_bytes, g.ways);
+    ASSERT_EQ(sim.capacity_bytes(), ref.capacity_bytes())
+        << "capacity " << g.capacity_bytes << " ways " << g.ways;
+    const std::int64_t lines =
+        std::max<std::int64_t>(ref.capacity_bytes() / g.line_bytes, 1);
+    const std::size_t n = static_cast<std::size_t>(
+        std::min<std::int64_t>(8 * lines, 400000));
+    // Two streams with a reset between them: the second must replay from
+    // a cold cache on both sides.
+    for (int round = 0; round < 2; ++round) {
+      if (round > 0) {
+        sim.reset();
+        ref.reset();
+      }
+      const auto addrs = reuse_stream(rng, lines, g.line_bytes, n);
+      for (std::size_t i = 0; i < addrs.size(); ++i) {
+        ASSERT_EQ(sim.access(addrs[i]), ref.access(addrs[i]))
+            << "capacity " << g.capacity_bytes << " ways " << g.ways
+            << " round " << round << " access " << i;
+      }
+      EXPECT_EQ(sim.hits(), ref.hits);
+      EXPECT_EQ(sim.misses(), ref.misses);
+      EXPECT_GT(ref.hits, 0);
+      EXPECT_GT(ref.misses, 0);
+    }
+  }
 }
 
 }  // namespace

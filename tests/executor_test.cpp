@@ -288,54 +288,86 @@ TEST(Executor, NativeCountingMatchesBytecodeCounting) {
   // segment) and replays the exact bytecode interleaving for trace
   // records; a counted native run must reproduce the counted bytecode
   // run bit-for-bit — grids, counters, per-stage class split, and the
-  // derived line streams — at any worker count.
-  const ir::Program prog = dsl::parse(artemis::testing::kJacobiDsl);
+  // derived line streams — at any worker count. Inputs: a Jacobi plan,
+  // the fused two-stage DAG with its intermediate in scratch and with it
+  // materialized (write-backs), a 2D plan, and a stage the native
+  // lowering refuses (run on the bytecode engine inside a native run).
   const auto dev = gpumodel::p100();
   KernelConfig cfg;
   cfg.block = {8, 4, 2};
-  const auto plan =
-      codegen::build_plan_for_call(prog, prog.steps[0].call, cfg, dev);
-
-  for (const int jobs : {1, 4}) {
-    GridSet bc = GridSet::from_program(prog, 21);
-    GridSet nat = bc.clone();
-    PlanTrace tb, tn;
-    ExecOptions ob;
-    ob.jobs = jobs;
-    ob.trace = &tb;
-    const ExecCounters cb = execute_plan(plan, bc, ob);
-    ExecOptions on;
-    on.jobs = jobs;
-    on.engine = SimEngine::Native;
-    on.trace = &tn;
-    const ExecCounters cn = execute_plan(plan, nat, on);
-
-    expect_counters_equal(cb, cn);
-    for (const auto& [name, grid] : bc.grids()) {
-      EXPECT_EQ(grid->raw(), nat.grid(name).raw())
-          << "jobs=" << jobs << " array " << name;
+  const auto single = [&](const ir::Program& prog, const KernelConfig& c) {
+    return codegen::build_plan_for_call(prog, prog.steps[0].call, c, dev);
+  };
+  const auto fused = [&](const ir::Program& prog) {
+    std::vector<ir::BoundStencil> stages;
+    int idx = 0;
+    for (const auto& step : prog.steps) {
+      stages.push_back(
+          ir::bind_call(prog, step.call, str_cat("s", idx++, "_")));
     }
-    ASSERT_EQ(tb.stages.size(), tn.stages.size());
-    for (std::size_t s = 0; s < tb.stages.size(); ++s) {
-      const StageTrace& a = tb.stages[s];
-      const StageTrace& b = tn.stages[s];
-      EXPECT_EQ(a.lines, b.lines) << "jobs=" << jobs << " stage " << s;
-      EXPECT_EQ(a.flops_per_point, b.flops_per_point);
-      EXPECT_EQ(a.interior.computed, b.interior.computed);
-      EXPECT_EQ(a.interior.skipped, b.interior.skipped);
-      EXPECT_EQ(a.interior.greads, b.interior.greads);
-      EXPECT_EQ(a.interior.gwrites, b.interior.gwrites);
-      EXPECT_EQ(a.interior.sreads, b.interior.sreads);
-      EXPECT_EQ(a.interior.swrites, b.interior.swrites);
-      EXPECT_EQ(a.rim.computed, b.rim.computed);
-      EXPECT_EQ(a.rim.skipped, b.rim.skipped);
-      EXPECT_EQ(a.rim.greads, b.rim.greads);
-      EXPECT_EQ(a.rim.gwrites, b.rim.gwrites);
-      EXPECT_EQ(a.rim.sreads, b.rim.sreads);
-      EXPECT_EQ(a.rim.swrites, b.rim.swrites);
+    return codegen::build_plan(prog, std::move(stages), cfg, dev);
+  };
+
+  const auto check = [&](const char* label, const ir::Program& prog,
+                         const KernelPlan& plan) {
+    for (const int jobs : {1, 4}) {
+      GridSet bc = GridSet::from_program(prog, 21);
+      GridSet nat = bc.clone();
+      PlanTrace tb, tn;
+      ExecOptions ob;
+      ob.jobs = jobs;
+      ob.trace = &tb;
+      const ExecCounters cb = execute_plan(plan, bc, ob);
+      ExecOptions on;
+      on.jobs = jobs;
+      on.engine = SimEngine::Native;
+      on.trace = &tn;
+      const ExecCounters cn = execute_plan(plan, nat, on);
+
+      SCOPED_TRACE(str_cat(label, " jobs=", jobs));
+      expect_counters_equal(cb, cn);
+      for (const auto& [name, grid] : bc.grids()) {
+        EXPECT_EQ(grid->raw(), nat.grid(name).raw()) << "array " << name;
+      }
+      ASSERT_EQ(tb.stages.size(), tn.stages.size());
+      for (std::size_t s = 0; s < tb.stages.size(); ++s) {
+        const StageTrace& a = tb.stages[s];
+        const StageTrace& b = tn.stages[s];
+        EXPECT_EQ(a.lines, b.lines) << "stage " << s;
+        EXPECT_EQ(a.flops_per_point, b.flops_per_point);
+        EXPECT_EQ(a.interior.computed, b.interior.computed);
+        EXPECT_EQ(a.interior.skipped, b.interior.skipped);
+        EXPECT_EQ(a.interior.greads, b.interior.greads);
+        EXPECT_EQ(a.interior.gwrites, b.interior.gwrites);
+        EXPECT_EQ(a.interior.sreads, b.interior.sreads);
+        EXPECT_EQ(a.interior.swrites, b.interior.swrites);
+        EXPECT_EQ(a.rim.computed, b.rim.computed);
+        EXPECT_EQ(a.rim.skipped, b.rim.skipped);
+        EXPECT_EQ(a.rim.greads, b.rim.greads);
+        EXPECT_EQ(a.rim.gwrites, b.rim.gwrites);
+        EXPECT_EQ(a.rim.sreads, b.rim.sreads);
+        EXPECT_EQ(a.rim.swrites, b.rim.swrites);
+      }
+      EXPECT_EQ(tb.writeback.lines, tn.writeback.lines);
     }
-    EXPECT_EQ(tb.writeback.lines, tn.writeback.lines) << "jobs=" << jobs;
-  }
+  };
+
+  const ir::Program jacobi = dsl::parse(artemis::testing::kJacobiDsl);
+  check("jacobi", jacobi, single(jacobi, cfg));
+  const ir::Program dag = dsl::parse(artemis::testing::kDagDsl);
+  check("fused dag", dag, fused(dag));
+  const ir::Program materialized =
+      dsl::parse(artemis::testing::dag_materialized_dsl());
+  const KernelPlan materialized_plan = fused(materialized);
+  ASSERT_EQ(materialized_plan.materialized_internals,
+            (std::vector<std::string>{"tmp"}));
+  check("materialized dag", materialized, materialized_plan);
+  const ir::Program planar = dsl::parse(artemis::testing::kLaplace2dDsl);
+  KernelConfig cfg2d;
+  cfg2d.block = {8, 4, 1};
+  check("2d", planar, single(planar, cfg2d));
+  const ir::Program transpose = dsl::parse(artemis::testing::kTransposeDsl);
+  check("refused transpose", transpose, single(transpose, cfg));
 }
 
 // ---- property tests: random programs x random configs ----------------------

@@ -234,19 +234,9 @@ TEST(NativeEngine, RefusedStageFallsBackAndStillMatches) {
   // A plan whose stage cannot lower must silently run on the bytecode
   // engine and stay bit-identical — the refusal is a performance event,
   // not a semantic one (observable via the sim.native_fallbacks counter).
-  // The transposed pending-write read below is the pending-alias refusal.
-  const ir::Program prog = dsl::parse(R"(
-parameter L=8, M=8, N=8;
-iterator k, j, i;
-double in[L,M,N], out[L,M,N];
-copyin in;
-stencil transpose (B, A) {
-  B[k][j][i] = A[k][j][i];
-  B[k][j][i] = B[j][k][i] + 1.0;
-}
-transpose (out, in);
-copyout out;
-)");
+  // kTransposeDsl's transposed pending-write read is the pending-alias
+  // refusal.
+  const ir::Program prog = dsl::parse(artemis::testing::kTransposeDsl);
   const auto dev = gpumodel::p100();
   KernelConfig cfg;
   cfg.block = {4, 4, 4};

@@ -2,6 +2,8 @@
 
 // Shared DSL sources used across the test suite.
 
+#include <string>
+
 namespace artemis::testing {
 
 /// Listing 1 of the paper: 3D 7-point Jacobi from HPGMG, with the iterate
@@ -63,5 +65,43 @@ blurx (tmp, u, w);
 blury (out, tmp, alpha);
 copyout out;
 )";
+
+/// A stage the native lowering refuses: the transposed read of the
+/// pending write to B depends on the point order (the pending-alias rule),
+/// so native execution falls back to the bytecode engine for it.
+inline const char* kTransposeDsl = R"(
+parameter L=8, M=8, N=8;
+iterator k, j, i;
+double in[L,M,N], out[L,M,N];
+copyin in;
+stencil transpose (B, A) {
+  B[k][j][i] = A[k][j][i];
+  B[k][j][i] = B[j][k][i] + 1.0;
+}
+transpose (out, in);
+copyout out;
+)";
+
+/// A 2D five-point Laplacian.
+inline const char* kLaplace2dDsl = R"(
+parameter M=20, N=24;
+iterator j, i;
+double in[M,N], out[M,N];
+copyin in;
+stencil lap (B, A) {
+  B[j][i] = A[j][i+1] + A[j][i-1] + A[j+1][i] + A[j-1][i] - 4.0*A[j][i];
+}
+lap (out, in);
+copyout out;
+)";
+
+/// kDagDsl with `tmp` copied out as well, so a fused plan keeps it as a
+/// materialized internal: scratch written back to global memory.
+inline std::string dag_materialized_dsl() {
+  std::string src = kDagDsl;
+  const std::string copyout = "copyout out;";
+  src.replace(src.find(copyout), copyout.size(), "copyout out, tmp;");
+  return src;
+}
 
 }  // namespace artemis::testing
