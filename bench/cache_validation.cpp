@@ -3,10 +3,11 @@
 // The analytic model charges inter-block halo re-reads to DRAM with a
 // fixed L2 hit probability (0.8 under spatial tiling, where neighbor
 // blocks are co-scheduled; ~0 under streaming, where blocks advance along
-// the sweep out of phase). Here the functional executor replays the
-// actual global-access stream of both schemes through a set-associative
-// LRU cache sized like the P100's L2 (scaled to the small validation
-// domain) and measures how much redundancy really reaches DRAM.
+// the sweep out of phase). Here metrics::measure_plan replays the
+// actual global line stream of both schemes (counting mode, coalesced
+// along x) through a set-associative LRU cache sized like the P100's L2
+// (scaled to the small validation domain) and measures how much
+// redundancy really reaches DRAM.
 //
 // Claim to check: the simulated DRAM-traffic amplification (misses over
 // compulsory bytes) is near 1 for spatial tiling and significantly higher
@@ -15,68 +16,15 @@
 // from first principles instead of a model constant.
 
 #include <cstdio>
-#include <map>
 
 #include "artemis/codegen/plan_builder.hpp"
 #include "artemis/common/str.hpp"
 #include "artemis/common/table.hpp"
-#include "artemis/gpumodel/cache_sim.hpp"
 #include "artemis/gpumodel/perf_model.hpp"
-#include "artemis/sim/executor.hpp"
+#include "artemis/metrics/metrics.hpp"
 #include "artemis/stencils/benchmarks.hpp"
 
 using namespace artemis;
-
-namespace {
-
-struct Replay {
-  double simulated_amplification = 0;  ///< miss bytes / compulsory bytes
-  double hit_rate = 0;
-  std::int64_t accesses = 0;
-};
-
-Replay replay(const codegen::KernelPlan& plan, sim::GridSet& gs,
-              std::int64_t l2_bytes) {
-  gpumodel::CacheSim cache(l2_bytes);
-
-  // Lay the arrays out in disjoint address regions.
-  std::map<std::string, std::uint64_t> base;
-  std::uint64_t next = 0;
-  for (const auto& [name, grid] : gs.grids()) {
-    base[name] = next;
-    next += static_cast<std::uint64_t>(grid->size()) * 8;
-  }
-
-  std::map<std::string, std::int64_t> unique_lines_touched;
-  std::map<std::string, std::map<std::uint64_t, bool>> touched;
-  sim::ExecOptions opts;
-  opts.global_hook = [&](const std::string& name, std::int64_t z,
-                         std::int64_t y, std::int64_t x, bool) {
-    const auto& g = gs.grid(name);
-    const std::uint64_t addr =
-        base.at(name) + static_cast<std::uint64_t>(
-                            (z * g.extents().y + y) * g.extents().x + x) *
-                            8;
-    cache.access(addr);
-    touched[name][addr / static_cast<std::uint64_t>(cache.line_bytes())] =
-        true;
-  };
-  sim::execute_plan(plan, gs, opts);
-
-  std::int64_t compulsory_bytes = 0;
-  for (const auto& [name, lines] : touched) {
-    compulsory_bytes += static_cast<std::int64_t>(lines.size()) *
-                        cache.line_bytes();
-  }
-  Replay r;
-  r.simulated_amplification =
-      static_cast<double>(cache.miss_bytes()) / compulsory_bytes;
-  r.hit_rate = cache.hit_rate();
-  r.accesses = cache.accesses();
-  return r;
-}
-
-}  // namespace
 
 int main() {
   const auto dev = gpumodel::p100();
@@ -85,16 +33,17 @@ int main() {
   const std::int64_t extent = 64;
   const double scale = static_cast<double>(extent * extent * extent) /
                        (512.0 * 512.0 * 512.0);
-  const auto l2 = static_cast<std::int64_t>(dev.l2_bytes * scale * 64);
   // (x64: at 64^3 only a few hundred blocks exist vs tens of thousands,
   // so concurrency pressure is proportionally lower.)
+  gpumodel::DeviceSpec scaled = dev;
+  scaled.l2_bytes = static_cast<std::int64_t>(dev.l2_bytes * scale * 64);
 
   const auto prog = stencils::benchmark_program("helmholtz", extent, 1);
   const auto& call = prog.steps[0].body[0].call;
   codegen::BuildOptions gopts;
   gopts.use_shared_memory = false;
 
-  TablePrinter table({"scheme", "accesses", "L2 hit rate",
+  TablePrinter table({"scheme", "line requests", "L2 hit rate",
                       "DRAM amplification (sim)", "(analytic model)"});
 
   for (const bool streaming : {false, true}) {
@@ -110,7 +59,10 @@ int main() {
     const auto plan =
         codegen::build_plan_for_call(prog, call, cfg, dev, gopts);
     sim::GridSet gs = sim::GridSet::from_program(prog, 3);
-    const Replay r = replay(plan, gs, l2);
+    // Measured amplification: DRAM bytes (read misses plus dirty lines)
+    // over the bytes of every line touched.
+    const metrics::StageMetrics m =
+        metrics::measure_plan(plan, gs, scaled).totals;
 
     // The analytic model's amplification for the same plan: dram bytes
     // over compulsory (unique) bytes of the touched arrays.
@@ -122,11 +74,14 @@ int main() {
     const double model_amp =
         static_cast<double>(ev.counters.dram_bytes()) / unique;
 
-    table.add_row({streaming ? "global-stream" : "global (3D tiles)",
-                   std::to_string(r.accesses),
-                   format_double(r.hit_rate, 3),
-                   format_double(r.simulated_amplification, 3),
-                   format_double(model_amp, 3)});
+    table.add_row(
+        {streaming ? "global-stream" : "global (3D tiles)",
+         std::to_string(m.read_line_requests + m.write_line_requests),
+         format_double(m.l2_hit_rate, 3),
+         format_double(static_cast<double>(m.dram_bytes()) /
+                           static_cast<double>(m.working_set_bytes),
+                       3),
+         format_double(model_amp, 3)});
   }
 
   std::printf(

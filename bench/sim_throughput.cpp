@@ -1,22 +1,21 @@
-// Simulator throughput: tree-walk vs compiled bytecode vs native SIMD.
+// Simulator throughput: compiled bytecode vs native SIMD, serial and
+// parallel.
 //
 // Measures stencil applications per second (points/sec) of the functional
-// executor on paper kernels under four configurations:
+// executor on paper kernels under three configurations:
 //
-//   treewalk   -- the per-point recursive interpreter (SimEngine::TreeWalk),
-//                 one worker;
 //   bytecode   -- the slot-resolved compiled engine (SimEngine::Bytecode),
 //                 one worker;
 //   native     -- the register-allocated SIMD interior engine
 //                 (SimEngine::Native, strict mode), one worker;
 //   parallel   -- the native engine with the work-stealing block sweep.
 //
-// All four produce bit-identical grids (cross-checked here); the
+// All three produce bit-identical grids (cross-checked here); the
 // differential test suite (bytecode_sim_test, native_engine_test) proves
-// the stronger per-counter/per-trace equivalences. Results are written to
-// a machine-readable JSON report (--out, default BENCH_sim.json) consumed
-// by the CI smoke check, which asserts compiled >= tree-walk and native >=
-// bytecode on every kernel.
+// the stronger per-counter/per-trace equivalences against the plan-free
+// oracle. Results are written to a machine-readable JSON report (--out,
+// default BENCH_sim.json) consumed by the CI smoke check, which asserts
+// native >= bytecode on every kernel.
 
 #include <chrono>
 #include <cstdio>
@@ -112,9 +111,9 @@ int main(int argc, char** argv) {
   const auto dev = gpumodel::p100();
   const int par_jobs = jobs > 0 ? jobs : default_jobs();
 
-  TablePrinter table({"kernel", "points", "treewalk pts/s", "bytecode pts/s",
-                      "native pts/s", "parallel pts/s", "compiled x",
-                      "native x", "parallel x", "identical"});
+  TablePrinter table({"kernel", "points", "bytecode pts/s", "native pts/s",
+                      "parallel pts/s", "native x", "parallel x",
+                      "identical"});
   Json report = Json::object();
   report.set("extent", Json(extent));
   report.set("reps", Json(reps));
@@ -144,9 +143,6 @@ int main(int argc, char** argv) {
           codegen::KernelConfig{}, dev, gopts));
     }
 
-    sim::ExecOptions treewalk;
-    treewalk.engine = sim::SimEngine::TreeWalk;
-    treewalk.jobs = 1;
     sim::ExecOptions bytecode;
     bytecode.engine = sim::SimEngine::Bytecode;
     bytecode.jobs = 1;
@@ -166,38 +162,32 @@ int main(int argc, char** argv) {
       return first;
     };
 
-    const RunOutcome tw = best(treewalk);
     const RunOutcome bc = best(bytecode);
     const RunOutcome nat = best(native);
     const RunOutcome par = best(parallel);
-    const double tw_pps = tw.points / tw.seconds;
     const double bc_pps = bc.points / bc.seconds;
     const double nat_pps = nat.points / nat.seconds;
     const double par_pps = par.points / par.seconds;
-    const bool identical = outputs_identical(prog, tw.gs, bc.gs) &&
-                           outputs_identical(prog, tw.gs, nat.gs) &&
-                           outputs_identical(prog, tw.gs, par.gs);
+    const bool identical = outputs_identical(prog, bc.gs, nat.gs) &&
+                           outputs_identical(prog, bc.gs, par.gs);
     all_identical = all_identical && identical;
 
-    table.add_row({name, std::to_string(tw.points),
-                   format_double(tw_pps, 4), format_double(bc_pps, 4),
-                   format_double(nat_pps, 4), format_double(par_pps, 4),
-                   format_double(bc_pps / tw_pps, 3),
+    table.add_row({name, std::to_string(bc.points),
+                   format_double(bc_pps, 4), format_double(nat_pps, 4),
+                   format_double(par_pps, 4),
                    format_double(nat_pps / bc_pps, 3),
-                   format_double(par_pps / tw_pps, 3),
+                   format_double(par_pps / nat_pps, 3),
                    identical ? "yes" : "NO"});
 
     Json row = Json::object();
     row.set("kernel", Json(name));
-    row.set("points", Json(tw.points));
+    row.set("points", Json(bc.points));
     row.set("engine", Json("native"));
-    row.set("treewalk_pps", Json(tw_pps));
     row.set("bytecode_pps", Json(bc_pps));
     row.set("native_pps", Json(nat_pps));
     row.set("parallel_pps", Json(par_pps));
-    row.set("speedup_compiled", Json(bc_pps / tw_pps));
     row.set("speedup_native", Json(nat_pps / bc_pps));
-    row.set("speedup_parallel", Json(par_pps / tw_pps));
+    row.set("speedup_parallel", Json(par_pps / nat_pps));
     row.set("outputs_identical", Json(identical));
     rows.push_back(std::move(row));
   }

@@ -135,8 +135,6 @@ void fold_counters(StageMetrics& m, const sim::StageTrace& t) {
 PlanMetrics measure_plan(const codegen::KernelPlan& plan, sim::GridSet& gs,
                          const gpumodel::DeviceSpec& dev,
                          const sim::ExecOptions& base) {
-  ARTEMIS_CHECK_MSG(!base.global_hook,
-                    "measure_plan cannot run with a global-access hook");
   sim::PlanTrace trace;
   sim::ExecOptions opts = base;
   // Strict native counting records the same streams and counters as the

@@ -105,9 +105,9 @@ struct PlanMetrics {
 /// points and stages the native lowering refuses run on bytecode), so the
 /// grids end up bit-identical to a plain strict execute_plan. `base` seeds
 /// the execution options (jobs); its engine and fast-math flag are
-/// overridden and its hook must be empty. On perfbench's sim-measure
-/// kernels a call costs 30-87 ms on a 4-vCPU host, split roughly evenly
-/// between the native counting run and the L2 replay (traced
+/// overridden. On perfbench's sim-measure kernels a call costs 30-87 ms
+/// on a 4-vCPU host, split roughly evenly between the native counting
+/// run and the L2 replay (traced
 /// `metrics.measure_ms`; docs/PERFORMANCE.md, "Measurement cost").
 PlanMetrics measure_plan(const codegen::KernelPlan& plan, sim::GridSet& gs,
                          const gpumodel::DeviceSpec& dev,

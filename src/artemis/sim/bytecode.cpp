@@ -245,12 +245,12 @@ inline bool in_box(const BcRegion& b, std::int64_t z, std::int64_t y,
 /// bounds are provably satisfied, so guards compile away; counters are
 /// still maintained per element because pending-buffer hits (which do not
 /// count as reads) are data-dependent.
-template <bool kChecked, bool kHooked, bool kCounted = false>
+template <bool kChecked, bool kCounted = false>
 bool exec_point(const CompiledStencil& cs, const ArrayView* views,
                 const double* scalars, ExecScratch& st, std::int64_t z,
                 std::int64_t y, std::int64_t x, const BcRegion& commit,
                 bool drop_outside_commit, BcCounters& c,
-                const GlobalAccessHook* hook, StageTrace* trace = nullptr) {
+                StageTrace* trace = nullptr) {
   double* sp = st.stack.data();
   double* locals = st.locals.data();
   PendingWrite* pending = st.pending.data();
@@ -277,7 +277,7 @@ bool exec_point(const CompiledStencil& cs, const ArrayView* views,
     if constexpr (kChecked) {
       if (cz < 0 || cz >= v.ez || cy < 0 || cy >= v.ey || cx < 0 ||
           cx >= v.ex) {
-        return false;  // vetoes the point; not counted, not hooked
+        return false;  // vetoes the point; not counted
       }
       if (v.scratch) {
         ARTEMIS_CHECK_MSG(in_window(v, cz, cy, cx),
@@ -294,7 +294,6 @@ bool exec_point(const CompiledStencil& cs, const ArrayView* views,
       ++c.sreads;
     } else {
       ++c.greads;
-      if constexpr (kHooked) (*hook)(*v.name, cz, cy, cx, false);
       if constexpr (kCounted) {
         trace->record(v.elem_base + idx * sizeof(double), /*is_write=*/false);
       }
@@ -410,7 +409,6 @@ bool exec_point(const CompiledStencil& cs, const ArrayView* views,
     const std::size_t i = view_index(v, w.z, w.y, w.x);
     v.write[i] = w.v;
     ++c.gwrites;
-    if constexpr (kHooked) (*hook)(*v.name, w.z, w.y, w.x, true);
     if constexpr (kCounted) {
       trace->record(v.elem_base + i * sizeof(double), /*is_write=*/true);
     }
@@ -511,9 +509,8 @@ void run_split_region(const CompiledStencil& cs,
   const auto rim_run = [&](std::int64_t z, std::int64_t y, std::int64_t x0,
                            std::int64_t x1) {
     for (std::int64_t x = x0; x < x1; ++x) {
-      if (exec_point<true, false, kCounted>(cs, vp, scalars, st, z, y, x,
-                                            commit, drop_outside_commit, cr,
-                                            nullptr, trace)) {
+      if (exec_point<true, kCounted>(cs, vp, scalars, st, z, y, x, commit,
+                                     drop_outside_commit, cr, trace)) {
         ++cr.computed;
       } else {
         ++cr.skipped;
@@ -530,9 +527,8 @@ void run_split_region(const CompiledStencil& cs,
       }
       rim_run(z, y, region.lo[2], in.lo[2]);
       for (std::int64_t x = in.lo[2]; x < in.hi[2]; ++x) {
-        exec_point<false, false, kCounted>(cs, vp, scalars, st, z, y, x,
-                                           commit, drop_outside_commit, ci,
-                                           nullptr, trace);
+        exec_point<false, kCounted>(cs, vp, scalars, st, z, y, x, commit,
+                                    drop_outside_commit, ci, trace);
       }
       ci.computed += in.hi[2] - in.lo[2];  // interior points never veto
       rim_run(z, y, in.hi[2], region.hi[2]);
@@ -546,32 +542,9 @@ void run_compiled_region(const CompiledStencil& cs,
                          const std::vector<ArrayView>& views,
                          const double* scalars, const BcRegion& region,
                          const BcRegion& commit, bool drop_outside_commit,
-                         BcCounters& c, const GlobalAccessHook* hook,
-                         StageTrace* trace) {
+                         BcCounters& c, StageTrace* trace) {
   if (region.empty()) return;
   ExecScratch st(cs);
-  const ArrayView* vp = views.data();
-
-  if (hook) {
-    ARTEMIS_CHECK_MSG(trace == nullptr,
-                      "counting mode and the global-access hook are "
-                      "mutually exclusive");
-    // Trace mode: every point fully checked and hooked, in row-major
-    // order, matching the tree walk's deterministic access stream.
-    for (std::int64_t z = region.lo[0]; z < region.hi[0]; ++z) {
-      for (std::int64_t y = region.lo[1]; y < region.hi[1]; ++y) {
-        for (std::int64_t x = region.lo[2]; x < region.hi[2]; ++x) {
-          if (exec_point<true, true>(cs, vp, scalars, st, z, y, x, commit,
-                                     drop_outside_commit, c, hook)) {
-            ++c.computed;
-          } else {
-            ++c.skipped;
-          }
-        }
-      }
-    }
-    return;
-  }
 
   if (trace != nullptr) {
     // Counting mode: identical execution, with interior/rim accesses
@@ -629,9 +602,8 @@ void RimRunner::run(std::int64_t z, std::int64_t y, std::int64_t x0,
   const ArrayView* vp = im.views.data();
   if (trace != nullptr) {
     for (std::int64_t x = x0; x < x1; ++x) {
-      if (exec_point<true, false, true>(im.cs, vp, im.scalars, im.st, z, y,
-                                        x, im.commit, im.drop, c, nullptr,
-                                        trace)) {
+      if (exec_point<true, true>(im.cs, vp, im.scalars, im.st, z, y, x,
+                                 im.commit, im.drop, c, trace)) {
         ++c.computed;
       } else {
         ++c.skipped;
@@ -640,8 +612,8 @@ void RimRunner::run(std::int64_t z, std::int64_t y, std::int64_t x0,
     return;
   }
   for (std::int64_t x = x0; x < x1; ++x) {
-    if (exec_point<true, false, false>(im.cs, vp, im.scalars, im.st, z, y, x,
-                                       im.commit, im.drop, c, nullptr)) {
+    if (exec_point<true>(im.cs, vp, im.scalars, im.st, z, y, x, im.commit,
+                         im.drop, c)) {
       ++c.computed;
     } else {
       ++c.skipped;

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -22,9 +21,9 @@ namespace artemis::sim {
 /// strides, scalars and locals to dense slot vectors, iterator offsets
 /// folded into per-access coordinate selectors — and then executes it with
 /// a tight switch loop. The instruction stream is emitted in the exact
-/// post-order the tree walk evaluates, so results, veto behaviour, element
-/// counters and global-access hook traces are bit-identical to
-/// apply_stmts_at_point, which remains the semantics oracle.
+/// post-order the tree walk evaluates, so results, veto behaviour and
+/// element counters are bit-identical to apply_stmts_at_point, which
+/// verify::run_program_oracle walks as the semantics oracle.
 
 enum class BcOp : std::uint8_t {
   PushConst,   ///< push consts[a]
@@ -117,7 +116,7 @@ struct ArrayView {
   std::int64_t wz = 1, wy = 1, wx = 1;
   std::uint8_t* written = nullptr;  ///< scratch guard-passed flags, or null
   bool scratch = false;             ///< counts as scratch (not global) traffic
-  const std::string* name = nullptr;  ///< for the hook and diagnostics
+  const std::string* name = nullptr;  ///< for diagnostics
   /// Byte base of this array in the counting mode's flat global address
   /// space (line-aligned, disjoint per array slot). Element (z,y,x) lives
   /// at elem_base + view_index * sizeof(double); scratch views ignore it.
@@ -148,6 +147,8 @@ struct BcCounters {
   std::int64_t gwrites = 0;
   std::int64_t sreads = 0;
   std::int64_t swrites = 0;
+
+  bool operator==(const BcCounters&) const = default;
 
   BcCounters& operator+=(const BcCounters& o) {
     computed += o.computed;
@@ -217,10 +218,6 @@ struct StageTrace {
   }
 };
 
-/// (array, z, y, x, is_write) for each global-space element access.
-using GlobalAccessHook = std::function<void(
-    const std::string&, std::int64_t, std::int64_t, std::int64_t, bool)>;
-
 /// The sub-box of `region` on which every read (and every scratch write)
 /// is provably inside both its logical grid and its storage window — the
 /// guard-free fast path. Exposed for tests; run_compiled_region computes
@@ -230,8 +227,7 @@ BcRegion interior_region(const CompiledStencil& cs,
                          const BcRegion& region, bool drop_outside_commit,
                          const BcRegion& commit);
 
-/// Execute the compiled stencil over every point of `region` (row-major
-/// z, y, x order — the tree walk's order, so hook traces match).
+/// Execute the compiled stencil over every point of `region`.
 ///
 /// `drop_outside_commit` selects the write-commit semantics:
 ///  - true (the tiled executor): external writes outside the `commit` box
@@ -239,23 +235,18 @@ BcRegion interior_region(const CompiledStencil& cs,
 ///  - false (the reference interpreter): external writes always commit and
 ///    must land inside the storage window (checked).
 ///
-/// The domain is split into an interior (bounds checks provably satisfied,
-/// no per-element hook test) and a boundary rim with the fully checked
-/// semantics; when `hook` is non-null everything runs checked + hooked.
+/// The domain is split into an interior (bounds checks provably
+/// satisfied) and a boundary rim with the fully checked semantics.
 ///
 /// `trace` enables the low-overhead counting mode: per-class (interior vs
 /// rim) counters and the coalesced global line stream accumulate into it
 /// while grids, veto behaviour and `counters` stay bit-identical to a
-/// plain run. Mutually exclusive with `hook` (the hook forces the serial
-/// fully-checked path; counting keeps the interior fast path and works
-/// under the parallel block sweep).
+/// plain run.
 void run_compiled_region(const CompiledStencil& cs,
                          const std::vector<ArrayView>& views,
                          const double* scalars, const BcRegion& region,
                          const BcRegion& commit, bool drop_outside_commit,
-                         BcCounters& counters,
-                         const GlobalAccessHook* hook = nullptr,
-                         StageTrace* trace = nullptr);
+                         BcCounters& counters, StageTrace* trace = nullptr);
 
 /// Fully-checked per-point execution of x-spans, exported for the native
 /// tier's boundary rim: identical semantics (and, in counting mode,

@@ -12,7 +12,6 @@
 #include "artemis/common/str.hpp"
 #include "artemis/ir/analysis.hpp"
 #include "artemis/robust/fault_injection.hpp"
-#include "artemis/sim/interp.hpp"
 #include "artemis/sim/native/native.hpp"
 #include "artemis/telemetry/telemetry.hpp"
 
@@ -22,8 +21,6 @@ const char* engine_name(SimEngine engine) {
   switch (engine) {
     case SimEngine::Bytecode:
       return "bytecode";
-    case SimEngine::TreeWalk:
-      return "treewalk";
     case SimEngine::Native:
       return "native";
   }
@@ -32,10 +29,9 @@ const char* engine_name(SimEngine engine) {
 
 SimEngine engine_by_name(const std::string& name) {
   if (name == "bytecode") return SimEngine::Bytecode;
-  if (name == "tree" || name == "treewalk") return SimEngine::TreeWalk;
   if (name == "native") return SimEngine::Native;
   throw Error(str_cat("unknown sim engine '", name,
-                      "' (expected tree, bytecode, or native)"));
+                      "' (expected bytecode or native)"));
 }
 
 namespace {
@@ -164,10 +160,6 @@ struct Scratch {
   std::vector<double> data;
   std::vector<std::uint8_t> written;  ///< guard-passed points only
 
-  bool contains(std::int64_t z, std::int64_t y, std::int64_t x) const {
-    return z >= lo[0] && z < lo[0] + ext.z && y >= lo[1] &&
-           y < lo[1] + ext.y && x >= lo[2] && x < lo[2] + ext.x;
-  }
   std::size_t index(std::int64_t z, std::int64_t y, std::int64_t x) const {
     return static_cast<std::size_t>(
         ((z - lo[0]) * ext.y + (y - lo[1])) * ext.x + (x - lo[2]));
@@ -185,15 +177,8 @@ ExecCounters execute_plan(const KernelPlan& plan, GridSet& gs,
   span.arg("kernel", Json(plan.name));
   span.arg("engine", Json(engine_name(opts.engine)));
   robust::fault_point("sim.execute", plan.name);
-  const bool hooked = static_cast<bool>(opts.global_hook);
   PlanTrace* trace = opts.trace;
-  if (trace != nullptr) {
-    ARTEMIS_CHECK_MSG(!hooked, "counting mode (ExecOptions::trace) and the "
-                               "global-access hook are mutually exclusive");
-    ARTEMIS_CHECK_MSG(opts.engine != SimEngine::TreeWalk,
-                      "counting mode requires the bytecode or native engine");
-    *trace = PlanTrace{};
-  }
+  if (trace != nullptr) *trace = PlanTrace{};
   ExecCounters totals;
   const int dims = plan.dims;
 
@@ -253,27 +238,23 @@ ExecCounters execute_plan(const KernelPlan& plan, GridSet& gs,
   for (const auto& [name, ai] : plan.info.arrays) arrays.add(name);
   SlotMap scalar_slots;
   std::vector<double> scalar_vals;
-  std::map<std::string, double> env;  // tree-walk engine's environment
   for (const auto& name : plan.info.scalars_read) {
     scalar_slots.add(name);
     scalar_vals.push_back(gs.scalar(name));
-    env[name] = gs.scalar(name);
   }
 
   std::vector<std::shared_ptr<const CompiledStencil>> compiled;
-  if (opts.engine != SimEngine::TreeWalk) {
-    compiled.reserve(plan.stages.size());
-    for (const auto& stage : plan.stages) {
-      compiled.push_back(
-          compile_stmts_cached(stage.stmts, dims, arrays, scalar_slots));
-    }
+  compiled.reserve(plan.stages.size());
+  for (const auto& stage : plan.stages) {
+    compiled.push_back(
+        compile_stmts_cached(stage.stmts, dims, arrays, scalar_slots));
   }
 
   // Native engine: lower each compiled stage once per plan execution
-  // (cheap next to compilation); stages the lowering refuses — and any
-  // hooked run — fall back to the bytecode engine, whose semantics the
-  // native tier reproduces bit-identically in strict mode.
-  const bool native = opts.engine == SimEngine::Native && !hooked;
+  // (cheap next to compilation); stages the lowering refuses fall back to
+  // the bytecode engine, whose semantics the native tier reproduces
+  // bit-identically in strict mode.
+  const bool native = opts.engine == SimEngine::Native;
   std::vector<native::LowerResult> lowered;
   const native::Tier tier = native ? native::active_tier()
                                    : native::Tier::Scalar;
@@ -424,7 +405,6 @@ ExecCounters execute_plan(const KernelPlan& plan, GridSet& gs,
             if (!s.written[s.index(z, y, x)]) continue;
             g.at(z, y, x) = s.at(z, y, x);
             ++c.gwrites;
-            if (hooked) opts.global_hook(name, z, y, x, true);
             if (wb != nullptr) {
               const std::uint64_t idx =
                   static_cast<std::uint64_t>((z * v.wy + y) * v.wx + x);
@@ -469,7 +449,6 @@ ExecCounters execute_plan(const KernelPlan& plan, GridSet& gs,
     }
 
     const BcRegion own = commit_box(own_lo, own_hi);
-    const GlobalAccessHook* hook = hooked ? &opts.global_hook : nullptr;
     if (bt != nullptr) bt->stages.resize(plan.stages.size());
     for (std::size_t s = 0; s < plan.stages.size(); ++s) {
       StageTrace* st = bt != nullptr ? &bt->stages[s] : nullptr;
@@ -481,94 +460,10 @@ ExecCounters execute_plan(const KernelPlan& plan, GridSet& gs,
       } else {
         run_compiled_region(*compiled[s], views, scalar_vals.data(),
                             stage_region(s, own_lo, own_hi), own,
-                            /*drop_outside_commit=*/true, c, hook, st);
+                            /*drop_outside_commit=*/true, c, st);
       }
     }
     materialize(scratch, own, c, bt != nullptr ? &bt->writeback : nullptr);
-  };
-
-  // The tree-walking oracle: identical semantics, one recursive evaluation
-  // per point (kept for differential testing of the compiled engine).
-  const auto run_block_treewalk = [&](std::int64_t block_id, BcCounters& c) {
-    std::array<std::int64_t, 3> own_lo, own_hi;
-    block_geometry(block_id, own_lo, own_hi);
-    auto scratch = make_scratch(own_lo, own_hi);
-
-    const ArrayReader reader = [&](const std::string& name, std::int64_t z,
-                                   std::int64_t y,
-                                   std::int64_t x) -> std::optional<double> {
-      if (const auto it = scratch.find(name); it != scratch.end()) {
-        // Reads outside the domain veto the point, mirroring the unfused
-        // schedule where the intermediate array has no such element.
-        const Grid3D& shape = gs.grid(name);
-        if (!shape.in_bounds(z, y, x)) return std::nullopt;
-        ARTEMIS_CHECK_MSG(it->second.contains(z, y, x),
-                          "internal read of '"
-                              << name << "' at (" << z << "," << y << "," << x
-                              << ") escapes its scratch region: plan halo "
-                                 "geometry is wrong");
-        ++c.sreads;
-        return it->second.at(z, y, x);
-      }
-      const auto snap = snapshots.find(name);
-      const Grid3D& g =
-          snap != snapshots.end() ? snap->second : gs.grid(name);
-      if (!g.in_bounds(z, y, x)) return std::nullopt;
-      ++c.greads;
-      if (hooked) opts.global_hook(name, z, y, x, false);
-      return g.at(z, y, x);
-    };
-
-    for (std::size_t s = 0; s < plan.stages.size(); ++s) {
-      const ArrayWriter writer = [&](const std::string& name, std::int64_t z,
-                                     std::int64_t y, std::int64_t x,
-                                     double v) {
-        if (const auto it = scratch.find(name); it != scratch.end()) {
-          ARTEMIS_CHECK_MSG(it->second.contains(z, y, x),
-                            "internal write of '" << name
-                                                  << "' escapes scratch");
-          it->second.at(z, y, x) = v;
-          it->second.written[it->second.index(z, y, x)] = 1;
-          ++c.swrites;
-          return;
-        }
-        // External arrays commit only inside the owned tile to avoid
-        // double-writes from overlapping expanded regions.
-        const bool owned = z >= (dims >= 3 ? own_lo[2] : 0) &&
-                           z < (dims >= 3 ? own_hi[2] : 1) &&
-                           y >= (dims >= 2 ? own_lo[1] : 0) &&
-                           y < (dims >= 2 ? own_hi[1] : 1) &&
-                           x >= own_lo[0] && x < own_hi[0];
-        if (!owned) return;
-        gs.grid(name).at(z, y, x) = v;
-        ++c.gwrites;
-        if (hooked) opts.global_hook(name, z, y, x, true);
-      };
-
-      const BcRegion reg = stage_region(s, own_lo, own_hi);
-      std::vector<std::int64_t> itv(static_cast<std::size_t>(dims), 0);
-      for (std::int64_t z = reg.lo[0]; z < reg.hi[0]; ++z) {
-        for (std::int64_t y = reg.lo[1]; y < reg.hi[1]; ++y) {
-          for (std::int64_t x = reg.lo[2]; x < reg.hi[2]; ++x) {
-            if (dims == 3) {
-              itv = {z, y, x};
-            } else if (dims == 2) {
-              itv = {y, x};
-            } else {
-              itv = {x};
-            }
-            if (apply_stmts_at_point(plan.stages[s].stmts, env, itv, reader,
-                                     writer)) {
-              ++c.computed;
-            } else {
-              ++c.skipped;
-            }
-          }
-        }
-      }
-    }
-
-    materialize(scratch, commit_box(own_lo, own_hi), c, nullptr);
   };
 
   std::vector<BcCounters> block_counters(
@@ -577,24 +472,16 @@ ExecCounters execute_plan(const KernelPlan& plan, GridSet& gs,
       trace != nullptr ? static_cast<std::size_t>(total_blocks) : 0);
   const auto run_block = [&](std::int64_t b) {
     BcCounters c;
-    if (opts.engine != SimEngine::TreeWalk) {
-      run_block_compiled(b, c,
-                         trace != nullptr
-                             ? &block_traces[static_cast<std::size_t>(b)]
-                             : nullptr);
-    } else {
-      run_block_treewalk(b, c);
-    }
+    run_block_compiled(b, c,
+                       trace != nullptr
+                           ? &block_traces[static_cast<std::size_t>(b)]
+                           : nullptr);
     block_counters[static_cast<std::size_t>(b)] = c;
   };
 
-  // A hooked run stays serial so the hook sees accesses in block order.
-  int jobs = 1;
-  if (!hooked) {
-    jobs = opts.jobs > 0 ? opts.jobs : default_jobs();
-    jobs = static_cast<int>(
-        std::min<std::int64_t>(jobs, std::max<std::int64_t>(total_blocks, 1)));
-  }
+  int jobs = opts.jobs > 0 ? opts.jobs : default_jobs();
+  jobs = static_cast<int>(
+      std::min<std::int64_t>(jobs, std::max<std::int64_t>(total_blocks, 1)));
   span.arg("jobs", Json(jobs));
   if (jobs < 2 || TaskPool::inside_worker()) {
     for (std::int64_t b = 0; b < total_blocks; ++b) run_block(b);

@@ -20,23 +20,21 @@ struct ExecCounters {
   std::int64_t blocks = 0;
 };
 
-/// Which interpreter executes the plan's statement lists. All three
-/// produce bit-identical grids, counters and hook traces (the native
-/// engine in its default strict mode); the tree walk survives as the
-/// differential-testing oracle.
+/// Which interpreter executes the plan's statement lists. Both produce
+/// bit-identical grids, counters and counting-mode traces (the native
+/// engine in its default strict mode); verify::run_program_oracle is the
+/// plan-free semantics oracle they are checked against.
 enum class SimEngine {
-  Bytecode,  ///< compiled slot-resolved bytecode (default, fast)
-  TreeWalk,  ///< per-point recursive evaluation via apply_stmts_at_point
+  Bytecode,  ///< compiled slot-resolved bytecode (default)
   Native,    ///< SIMD interior tier over bytecode (sim/native/), rim + any
              ///< refused stage fall back to the bytecode engine
 };
 
 /// Stable names for CLI flags, telemetry and reports: "bytecode",
-/// "treewalk", "native".
+/// "native".
 const char* engine_name(SimEngine engine);
 
-/// Parse an engine name ("tree" and "treewalk" both accept the oracle).
-/// Throws artemis::Error on anything else.
+/// Parse an engine name. Throws artemis::Error on anything else.
 SimEngine engine_by_name(const std::string& name);
 
 /// Counting-mode output for one plan execution: per-stage interior/rim
@@ -63,27 +61,20 @@ struct PlanTrace {
   StageTrace writeback;
 };
 
-/// Execution options. The global-access hook exists for trace-driven
-/// cache validation (bench/cache_validation): it receives every
-/// global-space element access (reads and committed writes) in a
-/// deterministic single-threaded block order.
+/// Execution options.
 struct ExecOptions {
   /// Worker count for the block sweep; 0 resolves to default_jobs().
   int jobs = 0;
   SimEngine engine = SimEngine::Bytecode;
   /// Native engine only: allow mul+add/sub fusion into correctly-rounded
   /// FMAs. Deterministic across dispatch tiers and job counts, but only
-  /// ULP-bounded (not bit-identical) against the bytecode oracle; the
+  /// ULP-bounded (not bit-identical) against the bytecode engine; the
   /// default strict mode is bit-identical.
   bool native_fast_math = false;
-  /// (array, z, y, x, is_write) for each global access.
-  GlobalAccessHook global_hook;
   /// Counting mode: when non-null, per-stage measured counters and line
-  /// streams are collected here. Requires the bytecode or native engine
-  /// (identical output from both); composes with the parallel sweep
-  /// (unlike the hook) and leaves grids, returned counters and journal
-  /// bytes bit-identical to a plain run. Mutually exclusive with
-  /// global_hook.
+  /// streams are collected here (identical output from both engines).
+  /// Composes with the parallel sweep and leaves grids, returned counters
+  /// and journal bytes bit-identical to a plain run.
   PlanTrace* trace = nullptr;
 };
 

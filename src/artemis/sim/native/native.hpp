@@ -24,16 +24,15 @@ namespace artemis::sim::native {
 /// (the register-tiling idiom), so each z step issues one new load per
 /// chain instead of reloading the whole stencil star.
 ///
-/// The boundary rim, vetoing points, hook traces and anything the lowering
-/// refuses stay on the bytecode engine, which remains the semantics
-/// oracle. In strict mode (the default) the emitted code preserves the
-/// bytecode's operation set and evaluation order exactly — no FMA
-/// contraction, lane arithmetic IEEE-identical to the scalar ops — so
-/// grids, counters and counting-mode traces are bit-identical to the
-/// bytecode engine. The declared fast-math mode additionally fuses
+/// The boundary rim, vetoing points and anything the lowering refuses
+/// stay on the bytecode engine. In strict mode (the default) the emitted
+/// code preserves the bytecode's operation set and evaluation order
+/// exactly — no FMA contraction, lane arithmetic IEEE-identical to the
+/// scalar ops — so grids, counters and counting-mode traces are
+/// bit-identical to the bytecode engine. The declared fast-math mode additionally fuses
 /// mul+add/sub chains into correctly-rounded FMAs; it is deterministic
 /// across dispatch tiers (std::fma and vfmadd round identically) but only
-/// ULP-bounded against the bytecode oracle.
+/// ULP-bounded against the bytecode engine.
 
 /// Register-program opcodes. Load pulls through loads[aux]; everything
 /// else is regs[dst] = op(regs[a], regs[b], regs[c]).

@@ -15,8 +15,10 @@ void run_stencil_reference(const ir::Program& prog,
                            const ir::BoundStencil& bound, GridSet& gs);
 
 /// Execute the whole program (iterate blocks unrolled, swaps applied) with
-/// the reference interpreter. This is the semantics oracle every generated
-/// kernel plan is tested against.
+/// the reference interpreter: the fast, compiled, slab-parallel check that
+/// `run`, the examples and the transform properties compare plans
+/// against. The plan-free semantics oracle it is itself checked against
+/// is verify::run_program_oracle.
 void run_program_reference(const ir::Program& prog, GridSet& gs);
 
 }  // namespace artemis::sim

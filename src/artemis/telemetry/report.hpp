@@ -19,7 +19,7 @@ struct ReportMeta {
   std::string strategy;  ///< generator strategy name
   std::string device;    ///< device model name
   int jobs = 1;          ///< tuning parallelism the run was driven with
-  std::string engine;    ///< sim engine name ("bytecode"/"treewalk"/"native")
+  std::string engine;    ///< sim engine name ("bytecode"/"native")
 };
 
 /// Structured form of one kernel configuration (the autotuner knobs).

@@ -17,7 +17,7 @@ namespace artemis::verify {
 ///   // artemis-verify reproducer
 ///   // property: engine-equivalence
 ///   // seed: 1234
-///   // detail: tree-walk vs bytecode jobs=2: grid 'v0' differs ...
+///   // detail: oracle vs bytecode jobs=2: grid 'v0' differs ...
 ///   parameter N=8;
 ///   ...
 struct CorpusEntry {

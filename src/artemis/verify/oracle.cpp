@@ -4,11 +4,13 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
 
 #include "artemis/codegen/plan_builder.hpp"
 #include "artemis/common/str.hpp"
 #include "artemis/gpumodel/device.hpp"
 #include "artemis/ir/analysis.hpp"
+#include "artemis/sim/interp.hpp"
 #include "artemis/sim/reference.hpp"
 
 namespace artemis::verify {
@@ -16,6 +18,8 @@ namespace artemis::verify {
 using codegen::KernelConfig;
 using codegen::KernelPlan;
 using codegen::TilingScheme;
+
+namespace {
 
 void add_counters(sim::ExecCounters& a, const sim::ExecCounters& b) {
   a.computed_points += b.computed_points;
@@ -27,25 +31,25 @@ void add_counters(sim::ExecCounters& a, const sim::ExecCounters& b) {
   a.blocks += b.blocks;
 }
 
+}  // namespace
+
 RunResult run_program_plans(const ir::Program& prog, const KernelConfig& cfg,
                             bool fuse, std::uint64_t seed,
-                            sim::SimEngine engine, int jobs,
-                            bool record_trace, bool native_fast_math) {
+                            const sim::ExecOptions& opts, bool counting) {
   const auto dev = gpumodel::p100();
-  RunResult r{sim::GridSet::from_program(prog, seed), {}, {}};
-  sim::ExecOptions opts;
-  opts.engine = engine;
-  opts.jobs = jobs;
-  opts.native_fast_math = native_fast_math;
-  if (record_trace) {
-    opts.global_hook = [&r](const std::string& a, std::int64_t z,
-                            std::int64_t y, std::int64_t x, bool w) {
-      r.trace.push_back({a, z, y, x, w});
-    };
-  }
+  RunResult r{sim::GridSet::from_program(prog, seed), {}, {}, {}};
 
   const auto run_plan = [&](const KernelPlan& plan) {
-    add_counters(r.totals, sim::execute_plan(plan, r.gs, opts));
+    sim::ExecOptions o = opts;
+    if (counting) o.trace = &r.traces.emplace_back();
+    add_counters(r.totals, sim::execute_plan(plan, r.gs, o));
+    for (const auto& name : plan.internal_arrays) {
+      if (std::find(plan.materialized_internals.begin(),
+                    plan.materialized_internals.end(),
+                    name) == plan.materialized_internals.end()) {
+        r.scratch_only.insert(name);
+      }
+    }
   };
   if (fuse) {
     std::vector<ir::BoundStencil> stages;
@@ -69,8 +73,71 @@ RunResult run_program_plans(const ir::Program& prog, const KernelConfig& cfg,
   return r;
 }
 
-std::string grids_diff(const sim::GridSet& a, const sim::GridSet& b) {
+sim::ExecCounters run_program_oracle(const ir::Program& prog,
+                                     sim::GridSet& gs,
+                                     const std::set<std::string>& uncounted) {
+  const int dims = static_cast<int>(prog.iterators.size());
+  sim::ExecCounters c;
+  for (const auto& step : ir::flatten_steps(prog)) {
+    if (step.kind == ir::ExecStep::Kind::Swap) {
+      gs.swap(step.swap.a, step.swap.b);
+      continue;
+    }
+    const ir::BoundStencil& bound = step.stencil;
+    const ir::StencilInfo info = ir::analyze(prog, bound);
+    ARTEMIS_CHECK_MSG(!info.outputs.empty(),
+                      "stencil '" << bound.name << "' writes nothing");
+
+    // Kernel semantics: no point observes another point's write.
+    std::map<std::string, Grid3D> snapshots;
+    for (const auto& [name, ai] : info.arrays) {
+      if (sim::needs_snapshot(ai, dims, /*recompute=*/false)) {
+        snapshots.emplace(name, gs.grid(name));
+      }
+    }
+    std::map<std::string, double> scalars;
+    for (const auto& name : info.scalars_read) scalars[name] = gs.scalar(name);
+
+    const sim::ArrayReader reader =
+        [&](const std::string& name, std::int64_t z, std::int64_t y,
+            std::int64_t x) -> std::optional<double> {
+      const auto snap = snapshots.find(name);
+      const Grid3D& g = snap != snapshots.end() ? snap->second : gs.grid(name);
+      if (!g.in_bounds(z, y, x)) return std::nullopt;
+      ++c.global_read_elems;
+      return g.at(z, y, x);
+    };
+    const sim::ArrayWriter writer = [&](const std::string& name,
+                                        std::int64_t z, std::int64_t y,
+                                        std::int64_t x, double v) {
+      gs.grid(name).at(z, y, x) = v;
+      if (uncounted.count(name) == 0) ++c.global_write_elems;
+    };
+
+    const Extents dom = gs.grid(info.outputs.front()).extents();
+    std::vector<std::int64_t> itv;
+    for (std::int64_t z = 0; z < dom.z; ++z) {
+      for (std::int64_t y = 0; y < dom.y; ++y) {
+        for (std::int64_t x = 0; x < dom.x; ++x) {
+          const std::array<std::int64_t, 3> zyx = {z, y, x};
+          itv.assign(zyx.end() - dims, zyx.end());
+          if (sim::apply_stmts_at_point(bound.stmts, scalars, itv, reader,
+                                        writer)) {
+            ++c.computed_points;
+          } else {
+            ++c.skipped_points;
+          }
+        }
+      }
+    }
+  }
+  return c;
+}
+
+std::string grids_diff(const sim::GridSet& a, const sim::GridSet& b,
+                       const std::set<std::string>& skip) {
   for (const auto& [name, ga] : a.grids()) {
+    if (skip.count(name)) continue;
     if (!b.has_grid(name)) {
       return str_cat("grid '", name, "' missing from second set");
     }
@@ -143,8 +210,10 @@ std::uint64_t ulp_distance(double a, double b) {
 }  // namespace
 
 std::string grids_ulp_diff(const sim::GridSet& a, const sim::GridSet& b,
-                           std::uint64_t max_ulps) {
+                           std::uint64_t max_ulps,
+                           const std::set<std::string>& skip) {
   for (const auto& [name, ga] : a.grids()) {
+    if (skip.count(name)) continue;
     if (!b.has_grid(name)) {
       return str_cat("grid '", name, "' missing from second set");
     }
@@ -190,45 +259,80 @@ std::string grids_ulp_diff(const sim::GridSet& a, const sim::GridSet& b,
   return {};
 }
 
+namespace {
+
+/// "" when two counting runs of the same plans recorded the same
+/// per-stage line streams, interior/rim counters and write-backs.
+std::string traces_diff(const std::vector<sim::PlanTrace>& a,
+                        const std::vector<sim::PlanTrace>& b) {
+  const auto same = [](const sim::StageTrace& x, const sim::StageTrace& y) {
+    return x.lines == y.lines && x.interior == y.interior && x.rim == y.rim;
+  };
+  for (std::size_t p = 0; p < a.size(); ++p) {
+    for (std::size_t s = 0; s < a[p].stages.size(); ++s) {
+      if (!same(a[p].stages[s], b[p].stages[s])) {
+        return str_cat("plan ", p, " stage ", s, " differs");
+      }
+    }
+    if (!same(a[p].writeback, b[p].writeback)) {
+      return str_cat("plan ", p, " write-back differs");
+    }
+  }
+  return {};
+}
+
+}  // namespace
+
 std::string engines_diff(const ir::Program& prog, const KernelConfig& cfg,
                          bool fuse, std::uint64_t seed) {
-  const RunResult oracle = run_program_plans(prog, cfg, fuse, seed,
-                                             sim::SimEngine::TreeWalk, 1,
-                                             false);
-  if (!fuse) {
-    // Per-call plans reproduce run_stencil_reference exactly, so the
-    // whole-program reference must match the tree walk bit-for-bit.
-    sim::GridSet ref = sim::GridSet::from_program(prog, seed);
-    sim::run_program_reference(prog, ref);
-    if (std::string d = grids_diff(ref, oracle.gs); !d.empty()) {
-      return str_cat("reference vs tree-walk: ", d);
-    }
+  const auto run = [&](const sim::ExecOptions& opts, bool counting = false) {
+    return run_program_plans(prog, cfg, fuse, seed, opts, counting);
+  };
+  const RunResult first = run({.jobs = 1});
+
+  sim::GridSet want = sim::GridSet::from_program(prog, seed);
+  const sim::ExecCounters oracle =
+      run_program_oracle(prog, want, first.scratch_only);
+  sim::GridSet ref = sim::GridSet::from_program(prog, seed);
+  sim::run_program_reference(prog, ref);
+  if (std::string d = grids_diff(want, ref); !d.empty()) {
+    return str_cat("oracle vs reference: ", d);
   }
-  for (const int jobs : {1, 2, 4}) {
-    const RunResult got = run_program_plans(prog, cfg, fuse, seed,
-                                            sim::SimEngine::Bytecode, jobs,
-                                            false);
-    if (std::string d = grids_diff(oracle.gs, got.gs); !d.empty()) {
-      return str_cat("tree-walk vs bytecode jobs=", jobs, ": ", d);
-    }
-    if (std::string d = counters_diff(oracle.totals, got.totals);
-        !d.empty()) {
-      return str_cat("tree-walk vs bytecode jobs=", jobs, ": ", d);
-    }
+
+  // Per-call plans compute each point once, as the oracle does. A fused
+  // plan recomputes halo points and keeps internals in scratch, so only
+  // its global writes carry over; the rest must match the first run.
+  sim::ExecCounters expect = oracle;
+  if (fuse) {
+    expect = first.totals;
+    expect.global_write_elems = oracle.global_write_elems;
   }
-  // Native engine, strict mode: same source evaluation order, no FMA —
-  // the SIMD interior and the bytecode rim must land bit-for-bit on the
-  // oracle's grids and counters at every job count.
-  for (const int jobs : {1, 2, 4}) {
-    const RunResult got = run_program_plans(prog, cfg, fuse, seed,
-                                            sim::SimEngine::Native, jobs,
-                                            false);
-    if (std::string d = grids_diff(oracle.gs, got.gs); !d.empty()) {
-      return str_cat("tree-walk vs native jobs=", jobs, ": ", d);
-    }
-    if (std::string d = counters_diff(oracle.totals, got.totals);
+  expect.blocks = first.totals.blocks;  // plan geometry, not semantics
+  const auto check = [&](const RunResult& got,
+                         const std::string& label) -> std::string {
+    if (std::string d = grids_diff(want, got.gs, got.scratch_only);
         !d.empty()) {
-      return str_cat("tree-walk vs native jobs=", jobs, ": ", d);
+      return str_cat("oracle vs ", label, ": ", d);
+    }
+    if (std::string d = counters_diff(expect, got.totals); !d.empty()) {
+      return str_cat("oracle vs ", label, ": ", d);
+    }
+    return {};
+  };
+
+  // Native strict mode keeps the source evaluation order and never
+  // fuses, so both engines land bit for bit on the oracle at every job
+  // count.
+  if (std::string d = check(first, "bytecode jobs=1"); !d.empty()) return d;
+  for (const auto engine : {sim::SimEngine::Bytecode, sim::SimEngine::Native}) {
+    for (const int jobs : {1, 2, 4}) {
+      if (engine == sim::SimEngine::Bytecode && jobs == 1) continue;
+      const std::string label =
+          str_cat(sim::engine_name(engine), " jobs=", jobs);
+      if (std::string d = check(run({.jobs = jobs, .engine = engine}), label);
+          !d.empty()) {
+        return d;
+      }
     }
   }
   // Native fast-math: FMA contraction is a declared rounding change, so
@@ -236,40 +340,39 @@ std::string engines_diff(const ir::Program& prog, const KernelConfig& cfg,
   // never depend on values, and the mode must stay deterministic across
   // job counts (bit-identical to itself).
   constexpr std::uint64_t kFastMathUlps = 64;
-  const RunResult fm1 = run_program_plans(prog, cfg, fuse, seed,
-                                          sim::SimEngine::Native, 1, false,
-                                          /*native_fast_math=*/true);
-  if (std::string d = grids_ulp_diff(oracle.gs, fm1.gs, kFastMathUlps);
+  const RunResult fm1 = run(
+      {.jobs = 1, .engine = sim::SimEngine::Native, .native_fast_math = true});
+  if (std::string d =
+          grids_ulp_diff(want, fm1.gs, kFastMathUlps, fm1.scratch_only);
       !d.empty()) {
-    return str_cat("tree-walk vs native fast-math: ", d);
+    return str_cat("oracle vs native fast-math: ", d);
   }
-  if (std::string d = counters_diff(oracle.totals, fm1.totals); !d.empty()) {
-    return str_cat("tree-walk vs native fast-math: ", d);
+  if (std::string d = counters_diff(expect, fm1.totals); !d.empty()) {
+    return str_cat("oracle vs native fast-math: ", d);
   }
-  const RunResult fm2 = run_program_plans(prog, cfg, fuse, seed,
-                                          sim::SimEngine::Native, 2, false,
-                                          /*native_fast_math=*/true);
+  const RunResult fm2 = run(
+      {.jobs = 2, .engine = sim::SimEngine::Native, .native_fast_math = true});
   if (std::string d = grids_diff(fm1.gs, fm2.gs); !d.empty()) {
     return str_cat("native fast-math jobs=1 vs jobs=2: ", d);
   }
-  // The hook-trace comparison materializes every global access as a
-  // TraceEntry; on a production-sized domain that is gigabytes of trace
-  // for no extra coverage (grids and counters above already ran at every
-  // job count), so it is reserved for small domains — which the fuzz
-  // sweep and the test suite always use.
+  // Counting traces hold an entry per coalesced global access; on a
+  // production-sized domain that is gigabytes for little extra coverage
+  // (grids and counters above already ran at every job count), so they
+  // are compared on small domains only — which the fuzz sweep and the
+  // test suite always use.
   constexpr std::int64_t kTracePointLimit = 1 << 16;
-  if (oracle.totals.computed_points > kTracePointLimit) return {};
-  const RunResult ta = run_program_plans(prog, cfg, fuse, seed,
-                                         sim::SimEngine::TreeWalk, 1, true);
-  const RunResult tb = run_program_plans(prog, cfg, fuse, seed,
-                                         sim::SimEngine::Bytecode, 1, true);
-  if (ta.trace.size() != tb.trace.size()) {
-    return str_cat("hook trace lengths differ: ", ta.trace.size(), " vs ",
-                   tb.trace.size());
+  if (oracle.computed_points > kTracePointLimit) return {};
+  const RunResult ta = run({.jobs = 1}, /*counting=*/true);
+  if (std::string d = check(ta, "counting bytecode jobs=1"); !d.empty()) {
+    return d;
   }
-  if (!(ta.trace == tb.trace)) return "hook traces differ";
-  if (std::string d = grids_diff(ta.gs, tb.gs); !d.empty()) {
-    return str_cat("hooked run: ", d);
+  const RunResult tb =
+      run({.jobs = 4, .engine = sim::SimEngine::Native}, /*counting=*/true);
+  if (std::string d = check(tb, "counting native jobs=4"); !d.empty()) {
+    return d;
+  }
+  if (std::string d = traces_diff(ta.traces, tb.traces); !d.empty()) {
+    return str_cat("counting traces, bytecode jobs=1 vs native jobs=4: ", d);
   }
   return {};
 }

@@ -15,9 +15,9 @@ namespace artemis::verify {
 enum class Property {
   RoundTrip,             ///< print -> parse -> print is a fixpoint
   TransformEquivalence,  ///< fusion/fission/fold/retime preserve semantics
-  EngineEquivalence,     ///< reference vs tree-walk vs bytecode vs native
-                         ///< (strict bit-identical, fast-math ULP-bounded),
-                         ///< jobs 1/2/4
+  EngineEquivalence,     ///< run_program_oracle vs reference, bytecode
+                         ///< and native (strict bit-identical, fast-math
+                         ///< ULP-bounded), jobs 1/2/4, per-call and fused
   TunerDeterminism,      ///< same seed + jobs => byte-identical plan/journal
   VariantEquivalence,    ///< profiler code-differencing variants agree
 };

@@ -219,14 +219,14 @@ TEST(NativeEngine, TierNamesAndDispatchTableAreSane) {
 // ---- engine plumbing -------------------------------------------------------
 
 TEST(NativeEngine, EngineNamesRoundTrip) {
-  EXPECT_EQ(engine_by_name("tree"), SimEngine::TreeWalk);
-  EXPECT_EQ(engine_by_name("treewalk"), SimEngine::TreeWalk);
   EXPECT_EQ(engine_by_name("bytecode"), SimEngine::Bytecode);
   EXPECT_EQ(engine_by_name("native"), SimEngine::Native);
-  for (const auto e :
-       {SimEngine::TreeWalk, SimEngine::Bytecode, SimEngine::Native}) {
+  for (const auto e : {SimEngine::Bytecode, SimEngine::Native}) {
     EXPECT_EQ(engine_by_name(engine_name(e)), e);
   }
+  // The tree walk is the plan-free verify oracle, not an engine.
+  EXPECT_THROW(engine_by_name("tree"), Error);
+  EXPECT_THROW(engine_by_name("treewalk"), Error);
   EXPECT_THROW(engine_by_name("cuda"), Error);
 }
 
@@ -290,16 +290,16 @@ TEST(NativeEngine, FastMathIsUlpBoundedAndJobsDeterministic) {
   const ir::Program prog = dsl::parse(artemis::testing::kJacobiDsl);
   KernelConfig cfg;
   cfg.block = {8, 4, 2};
-  const auto oracle = verify::run_program_plans(
-      prog, cfg, false, 31, SimEngine::Bytecode, 1, false);
+  const auto strict =
+      verify::run_program_plans(prog, cfg, false, 31, {.jobs = 1});
   const auto fm1 = verify::run_program_plans(
-      prog, cfg, false, 31, SimEngine::Native, 1, false,
-      /*native_fast_math=*/true);
-  EXPECT_EQ(verify::grids_ulp_diff(oracle.gs, fm1.gs, 64), "");
-  EXPECT_EQ(verify::counters_diff(oracle.totals, fm1.totals), "");
+      prog, cfg, false, 31,
+      {.jobs = 1, .engine = SimEngine::Native, .native_fast_math = true});
+  EXPECT_EQ(verify::grids_ulp_diff(strict.gs, fm1.gs, 64), "");
+  EXPECT_EQ(verify::counters_diff(strict.totals, fm1.totals), "");
   const auto fm4 = verify::run_program_plans(
-      prog, cfg, false, 31, SimEngine::Native, 4, false,
-      /*native_fast_math=*/true);
+      prog, cfg, false, 31,
+      {.jobs = 4, .engine = SimEngine::Native, .native_fast_math = true});
   EXPECT_TRUE(grids_bit_identical(fm1.gs, fm4.gs));
 }
 

@@ -148,14 +148,41 @@ TEST(VerifyOracle, GridsDiffDetectsCorruption) {
   const ir::Program prog = dsl::parse(kDagDsl);
   Rng rng(5);
   const auto cfg = random_config(rng, 3);
-  RunResult a = run_program_plans(prog, cfg, /*fuse=*/false, 11,
-                                  sim::SimEngine::TreeWalk, 1, false);
-  RunResult b = run_program_plans(prog, cfg, /*fuse=*/false, 11,
-                                  sim::SimEngine::Bytecode, 1, false);
-  EXPECT_EQ(grids_diff(a.gs, b.gs), "");
+  sim::GridSet a = sim::GridSet::from_program(prog, 11);
+  run_program_oracle(prog, a);
+  RunResult b = run_program_plans(prog, cfg, /*fuse=*/false, 11, {.jobs = 1});
+  EXPECT_EQ(grids_diff(a, b.gs), "");
   b.gs.grid("out").at(5, 5, 5) += 1e-13;
-  const std::string diff = grids_diff(a.gs, b.gs);
+  const std::string diff = grids_diff(a, b.gs);
   EXPECT_NE(diff.find("out"), std::string::npos) << diff;
+}
+
+TEST(VerifyOracle, SkipSetIgnoresExactlyTheNamedGrids) {
+  const ir::Program prog = dsl::parse(kDagDsl);
+  sim::GridSet a = sim::GridSet::from_program(prog, 3);
+  sim::GridSet b = a.clone();
+  b.grid("tmp").at(1, 1, 1) += 1.0;
+  EXPECT_NE(grids_diff(a, b), "");
+  EXPECT_NE(grids_ulp_diff(a, b, 64), "");
+  EXPECT_EQ(grids_diff(a, b, {"tmp"}), "");
+  EXPECT_EQ(grids_ulp_diff(a, b, 64, {"tmp"}), "");
+  EXPECT_NE(grids_diff(a, b, {"out", "u"}), "");
+  b.grid("out").at(1, 1, 1) += 1.0;
+  const std::string diff = grids_diff(a, b, {"tmp"});
+  EXPECT_NE(diff.find("'out'"), std::string::npos) << diff;
+  EXPECT_NE(grids_ulp_diff(a, b, 64, {"tmp"}), "");
+
+  // A fused DAG keeps `tmp` in scratch only, unless it is copied out.
+  codegen::KernelConfig cfg;
+  cfg.block = {8, 4, 2};
+  EXPECT_EQ(run_program_plans(prog, cfg, /*fuse=*/true, 3, {.jobs = 1})
+                .scratch_only,
+            (std::set<std::string>{"tmp"}));
+  EXPECT_TRUE(run_program_plans(dsl::parse(testing::dag_materialized_dsl()),
+                                cfg, /*fuse=*/true, 3, {.jobs = 1})
+                  .scratch_only.empty());
+  EXPECT_TRUE(run_program_plans(prog, cfg, /*fuse=*/false, 3, {.jobs = 1})
+                  .scratch_only.empty());
 }
 
 TEST(VerifyOracle, GridsDiffIsBitwise) {

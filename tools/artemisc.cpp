@@ -65,10 +65,10 @@ int usage(const char* argv0) {
                "       [--emit-cuda]          print the generated CUDA\n"
                "       [--profile]            per-kernel OI/roofline report\n"
                "       [--run]                functional run + checksum\n"
-               "       [--engine tree|bytecode|native]\n"
+               "       [--engine bytecode|native]\n"
                "                              simulator engine for --run "
                "(default:\n"
-               "                              bytecode; all bit-identical)\n"
+               "                              bytecode; both bit-identical)\n"
                "       [--emit-candidates]    print fission candidate DSL\n"
                "       [--compare]            all five generators (Fig. 5 "
                "row)\n"
