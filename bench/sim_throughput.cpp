@@ -7,7 +7,7 @@
 //   bytecode   -- the slot-resolved compiled engine (SimEngine::Bytecode),
 //                 one worker;
 //   native     -- the register-allocated SIMD interior engine
-//                 (SimEngine::Native, strict mode), one worker;
+//                 (SimEngine::Native), one worker;
 //   parallel   -- the native engine with the work-stealing block sweep.
 //
 // All three produce bit-identical grids (cross-checked here); the

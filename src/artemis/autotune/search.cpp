@@ -105,8 +105,7 @@ struct EvalContext {
   EvalContext(const PlanFactory& f, const gpumodel::DeviceSpec& d,
               const gpumodel::ModelParams& p, const TuneOptions& o,
               TuneResult* r)
-      : factory(f), dev(d), params(p), opts(o), runner(o.runner),
-        result(r) {}
+      : factory(f), dev(d), params(p), opts(o), result(r) {}
 
   std::string candidate_key(const KernelConfig& cfg) const {
     return opts.journal_scope.empty()
@@ -115,12 +114,10 @@ struct EvalContext {
   }
 
   /// Candidate keys (config serialization) are only materialized when
-  /// something consumes them — the journal, the fault harness, or a
-  /// non-default runner policy — so the disabled path never pays for
-  /// string building.
+  /// something consumes them — the journal or the fault harness — so the
+  /// disabled path never pays for string building.
   bool needs_key() const {
-    return opts.journal != nullptr || robust::fault_injection_enabled() ||
-           opts.runner.trials > 1 || opts.runner.deadline_ms > 0;
+    return opts.journal != nullptr || robust::fault_injection_enabled();
   }
 };
 
@@ -199,7 +196,7 @@ EvalOutcome evaluate_candidate(EvalContext& ctx, const KernelConfig& cfg,
   // Replay: a resumed journal already holds this candidate's outcome, so
   // the (expensive, possibly faulty) measurement is skipped. The cheap
   // analytic evaluation is re-derived for the leaderboard metadata; the
-  // journaled median timing stays authoritative.
+  // journaled timing stays authoritative.
   if (ctx.opts.journal != nullptr) {
     if (const auto rec = ctx.opts.journal->lookup(eo.key)) {
       eo.replayed = true;
@@ -225,7 +222,7 @@ EvalOutcome evaluate_candidate(EvalContext& ctx, const KernelConfig& cfg,
   if (eo.outcome.status == robust::RunStatus::Ok && eo.outcome.eval.valid) {
     Candidate c;
     c.config = cfg;
-    c.time_s = eo.outcome.time_s;
+    c.time_s = eo.outcome.eval.time_s;
     c.eval = eo.outcome.eval;
     eo.candidate = std::move(c);
   }
@@ -320,12 +317,6 @@ std::optional<Candidate> commit_candidate(EvalContext& ctx,
       journal_record("timeout", 0, 0);
       fail("eval_timeout");
       return std::nullopt;
-    case robust::RunStatus::Unstable:
-      ++ctx.result->unstable;
-      telemetry::counter_add("tuner.eval_unstable");
-      journal_record("unstable", 0, 0);
-      fail("measurement_unstable");
-      return std::nullopt;
     case robust::RunStatus::Quarantined:
       telemetry::counter_add("tuner.quarantine_skips");
       fail("quarantined");
@@ -389,10 +380,10 @@ class Leaderboard {
                                           ? entries_.front().key
                                           : std::string();
     // A config never holds two slots: the random sweep and stage-2
-    // variant generation can enumerate the same config twice, and under
-    // timing trials the two measurements may differ. The better one keeps
-    // the one slot; the rest of the board stays available for distinct
-    // configs instead of a duplicate pushing them past the top_k cut.
+    // variant generation can enumerate the same config twice. The faster
+    // measurement keeps the one slot (the model is deterministic, so the
+    // first); the rest of the board stays available for distinct configs
+    // instead of a duplicate pushing them past the top_k cut.
     std::string key = serialize_config(c.config);
     const auto dup = std::find_if(entries_.begin(), entries_.end(),
                                   [&](const Entry& e) { return e.key == key; });

@@ -62,11 +62,6 @@ struct TuneOptions {
   /// Theoretical machine-balance classification of the kernel, used to
   /// bound unroll factors. True = bandwidth-bound.
   bool theoretically_bandwidth_bound = true;
-  /// Resilient-evaluation policy: deadlines, retries, timing trials with
-  /// median/MAD rejection, and quarantine (docs/ROBUSTNESS.md). The
-  /// defaults are the zero-cost configuration — with fault injection off
-  /// the evaluation path is identical to the pre-resilience tuner.
-  robust::RunnerOptions runner;
   /// Optional crash-safe evaluation journal (non-owning). When set,
   /// every evaluated candidate is write-ahead recorded, and records
   /// loaded from a resumed journal are replayed instead of re-evaluated.
@@ -106,7 +101,6 @@ struct TuneResult {
   // process-wide telemetry counters are listed in docs/ROBUSTNESS.md).
   int crashed = 0;        ///< candidates lost to EvalCrash after retries
   int timed_out = 0;      ///< candidates lost to EvalTimeout after retries
-  int unstable = 0;       ///< candidates lost to MeasurementUnstable
   int quarantined = 0;    ///< keys quarantined during this run
   int journal_hits = 0;   ///< candidates replayed from a resumed journal
   /// The search came up empty and fell back to the baseline seed config

@@ -137,10 +137,9 @@ PlanMetrics measure_plan(const codegen::KernelPlan& plan, sim::GridSet& gs,
                          const sim::ExecOptions& base) {
   sim::PlanTrace trace;
   sim::ExecOptions opts = base;
-  // Strict native counting records the same streams and counters as the
-  // bytecode engine and leaves the same grids; fast math would not.
+  // Native counting records the same streams and counters as the
+  // bytecode engine and leaves the same grids.
   opts.engine = sim::SimEngine::Native;
-  opts.native_fast_math = false;
   opts.trace = &trace;
 
   PlanMetrics pm;

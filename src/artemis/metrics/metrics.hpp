@@ -100,15 +100,15 @@ struct PlanMetrics {
 };
 
 /// Execute `plan` over `gs` in counting mode and derive measured metrics.
-/// Counting always runs on the strict native engine, whose line streams,
+/// Counting always runs on the native engine, whose line streams,
 /// counters and grids are bit-identical to the bytecode engine's (rim
 /// points and stages the native lowering refuses run on bytecode), so the
-/// grids end up bit-identical to a plain strict execute_plan. `base` seeds
-/// the execution options (jobs); its engine and fast-math flag are
-/// overridden. On perfbench's sim-measure kernels a call costs 30-87 ms
-/// on a 4-vCPU host, split roughly evenly between the native counting
-/// run and the L2 replay (traced
-/// `metrics.measure_ms`; docs/PERFORMANCE.md, "Measurement cost").
+/// grids end up bit-identical to a plain execute_plan. `base` seeds the
+/// execution options (jobs); its engine is overridden. On perfbench's
+/// sim-measure kernels a call costs 30-87 ms on a 4-vCPU host, split
+/// roughly evenly between the native counting run and the L2 replay
+/// (traced `metrics.measure_ms`; docs/PERFORMANCE.md, "Measurement
+/// cost").
 PlanMetrics measure_plan(const codegen::KernelPlan& plan, sim::GridSet& gs,
                          const gpumodel::DeviceSpec& dev,
                          const sim::ExecOptions& base = {});

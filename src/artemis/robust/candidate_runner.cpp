@@ -1,25 +1,9 @@
 #include "artemis/robust/candidate_runner.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <thread>
-#include <vector>
-
 #include "artemis/common/str.hpp"
 #include "artemis/robust/fault_injection.hpp"
 
 namespace artemis::robust {
-
-namespace {
-
-double median_of(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const std::size_t n = v.size();
-  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
-
-}  // namespace
 
 const char* run_status_name(RunStatus s) {
   switch (s) {
@@ -27,43 +11,20 @@ const char* run_status_name(RunStatus s) {
     case RunStatus::Infeasible: return "infeasible";
     case RunStatus::Crash: return "crash";
     case RunStatus::Timeout: return "timeout";
-    case RunStatus::Unstable: return "unstable";
     case RunStatus::Quarantined: return "quarantined";
   }
   return "?";
-}
-
-CandidateRunner::CandidateRunner(const RunnerOptions& opts) : opts_(opts) {}
-
-bool CandidateRunner::armed() const {
-  return fault_injection_enabled() || opts_.trials > 1 ||
-         opts_.deadline_ms > 0;
-}
-
-double CandidateRunner::effective_deadline_ms() const {
-  if (opts_.deadline_ms > 0) return opts_.deadline_ms;
-  // Injected stalls must be classifiable even when the caller set no
-  // explicit deadline: half the stall time always trips.
-  if (fault_injection_enabled()) {
-    const FaultPlan* plan = current_fault_plan();
-    if (plan != nullptr && plan->spec().timeout_p > 0) {
-      return plan->spec().stall_ms * 0.5;
-    }
-  }
-  return 0;
 }
 
 RunOutcome CandidateRunner::run(const char* site, const std::string& key,
                                 const EvalFn& eval) {
   RunOutcome out;
 
-  if (!armed()) {
-    // Fast path: exactly the pre-resilience behavior, one evaluation and
-    // one PlanError catch. No clock reads, no map lookups.
+  if (!fault_injection_enabled()) {
+    // Fast path: one evaluation and one PlanError catch, no map lookups.
     out.attempts = 1;
     try {
       out.eval = eval();
-      out.time_s = out.eval.time_s;
     } catch (const PlanError& e) {
       out.status = RunStatus::Infeasible;
       out.reason = e.what();
@@ -73,60 +34,24 @@ RunOutcome CandidateRunner::run(const char* site, const std::string& key,
 
   if (is_quarantined(key)) {
     out.status = RunStatus::Quarantined;
-    out.reason = str_cat("quarantined after ", opts_.quarantine_threshold,
+    out.reason = str_cat("quarantined after ", kQuarantineThreshold,
                          " consecutive failures");
     return out;
   }
 
-  const double deadline_ms = effective_deadline_ms();
   RunStatus last_failure = RunStatus::Crash;
-  const int max_attempts = std::max(1, opts_.max_attempts);
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    if (attempt > 0) {
-      ++out.retries;
-      if (opts_.backoff_ms > 0) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(
-                opts_.backoff_ms * static_cast<double>(1 << (attempt - 1))));
-      }
-    }
+  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
+    if (attempt > 0) ++out.retries;
     ++out.attempts;
     try {
-      const auto t0 = std::chrono::steady_clock::now();
       fault_point(site, key, attempt);
-      // Timing trials: the fault harness may perturb individual trials;
-      // the median is robust to a minority of outliers, and the relative
-      // MAD decides whether this attempt's measurement is trustworthy.
-      gpumodel::KernelEval ev;
-      std::vector<double> times;
-      const int trials = std::max(1, opts_.trials);
-      for (int trial = 0; trial < trials; ++trial) {
-        ev = eval();
-        times.push_back(
-            perturbed_time(site, key, attempt, trial, ev.time_s));
-      }
-      const auto t1 = std::chrono::steady_clock::now();
-      const double elapsed_ms =
-          std::chrono::duration<double, std::milli>(t1 - t0).count();
-      if (deadline_ms > 0 && elapsed_ms > deadline_ms) {
-        throw EvalTimeout(str_cat("evaluation exceeded ", deadline_ms,
-                                  " ms deadline (took ", elapsed_ms,
-                                  " ms)"));
-      }
-      const double med = median_of(times);
-      if (times.size() > 1 && med > 0) {
-        std::vector<double> devs;
-        for (const double t : times) devs.push_back(std::abs(t - med));
-        const double mad = median_of(devs);
-        if (mad / med > opts_.mad_tolerance) {
-          throw MeasurementUnstable(
-              str_cat("trial dispersion MAD/median = ", mad / med,
-                      " exceeds tolerance ", opts_.mad_tolerance));
-        }
+      gpumodel::KernelEval ev = eval();
+      if (injected_timeout(site, key, attempt)) {
+        throw EvalTimeout(str_cat("injected timeout at ", site, " [", key,
+                                  "]"));
       }
       out.status = RunStatus::Ok;
       out.eval = std::move(ev);
-      out.time_s = med;
       {
         const std::lock_guard<std::mutex> lock(mu_);
         consecutive_failures_.erase(key);
@@ -143,13 +68,10 @@ RunOutcome CandidateRunner::run(const char* site, const std::string& key,
     } catch (const EvalCrash& e) {
       last_failure = RunStatus::Crash;
       out.reason = e.what();
-    } catch (const MeasurementUnstable& e) {
-      last_failure = RunStatus::Unstable;
-      out.reason = e.what();
     }
     {
       const std::lock_guard<std::mutex> lock(mu_);
-      if (++consecutive_failures_[key] >= opts_.quarantine_threshold) {
+      if (++consecutive_failures_[key] >= kQuarantineThreshold) {
         // insert() returns false for a key another shard already
         // quarantined; only the inserting call reports quarantined_now.
         out.quarantined_now = quarantined_.insert(key).second;

@@ -11,38 +11,18 @@
 
 namespace artemis::robust {
 
-/// Retry / deadline / trial / quarantine policy for candidate evaluation.
-/// The defaults are the zero-cost configuration: one attempt-set of one
-/// trial, no deadline, no backoff — with fault injection off, run() is a
-/// single try/catch around the evaluation, byte-for-byte the behavior the
-/// tuner had before the resilience layer existed.
-struct RunnerOptions {
-  /// Evaluation attempts per candidate before giving up (1 = no retry).
-  int max_attempts = 3;
-  /// Timing trials per attempt; the median is kept. 1 = trust one trial.
-  int trials = 1;
-  /// Relative median-absolute-deviation above which an attempt's trials
-  /// are rejected as MeasurementUnstable (and the attempt retried).
-  double mad_tolerance = 0.2;
-  /// Wall-clock deadline per attempt, in milliseconds. 0 disables the
-  /// check; when fault injection is stalling evaluations and no explicit
-  /// deadline is set, half the injected stall time is used so stalls are
-  /// always classified as timeouts.
-  double deadline_ms = 0;
-  /// Backoff slept between attempts: backoff_ms * 2^attempt. 0 = none.
-  double backoff_ms = 0;
-  /// Consecutive failed attempts (across run() calls) after which a
-  /// candidate key is quarantined and never evaluated again.
-  int quarantine_threshold = 3;
-};
+/// Evaluation attempts per candidate before the runner gives up.
+inline constexpr int kMaxAttempts = 3;
+/// Consecutive failed attempts (across run() calls) after which a
+/// candidate key is quarantined and never evaluated again.
+inline constexpr int kQuarantineThreshold = 3;
 
 /// Why one run() call ended the way it did.
 enum class RunStatus {
   Ok,           ///< eval holds a valid measurement
   Infeasible,   ///< PlanError: the configuration can never run
   Crash,        ///< attempts exhausted on EvalCrash
-  Timeout,      ///< attempts exhausted on wall-clock deadline
-  Unstable,     ///< attempts exhausted on trial dispersion
+  Timeout,      ///< attempts exhausted on EvalTimeout
   Quarantined,  ///< key was quarantined; evaluation skipped
 };
 const char* run_status_name(RunStatus s);
@@ -51,7 +31,6 @@ const char* run_status_name(RunStatus s);
 struct RunOutcome {
   RunStatus status = RunStatus::Ok;
   gpumodel::KernelEval eval;  ///< valid only when status == Ok
-  double time_s = 0;          ///< median measured time (Ok only)
   int attempts = 0;           ///< attempts consumed by this call
   int retries = 0;            ///< attempts beyond the first
   bool quarantined_now = false;  ///< this call pushed the key into quarantine
@@ -60,12 +39,12 @@ struct RunOutcome {
   bool ok() const { return status == RunStatus::Ok; }
 };
 
-/// Runs candidate evaluations with wall-clock deadlines, bounded retries
-/// with exponential backoff, repeated timing trials with median/MAD
-/// outlier rejection, and per-key quarantine after K consecutive
-/// failures. One runner instance spans one tuning search so quarantine
-/// state persists across stages. run() may be called concurrently from
-/// the tuner's work-stealing shards: the failure/quarantine maps are
+/// Runs candidate evaluations with bounded retries (kMaxAttempts) and
+/// per-key quarantine after kQuarantineThreshold consecutive failures.
+/// With fault injection off, run() is one evaluation inside one PlanError
+/// catch. One runner instance spans one tuning search so quarantine state
+/// persists across stages. run() may be called concurrently from the
+/// tuner's work-stealing shards: the failure/quarantine maps are
 /// mutex-protected, and because fault decisions are a pure hash of
 /// (seed, site, key, attempt), a key fails the same way on every thread
 /// — quarantine membership is independent of evaluation order.
@@ -73,11 +52,11 @@ class CandidateRunner {
  public:
   using EvalFn = std::function<gpumodel::KernelEval()>;
 
-  explicit CandidateRunner(const RunnerOptions& opts = {});
-
   /// Evaluate one candidate identified by `key` (the journal/quarantine
   /// identity, e.g. the serialized config). `site` names the injection
-  /// site consulted by the fault harness. Thread-safe.
+  /// site consulted by the fault harness: an injected crash fails the
+  /// attempt before `eval` runs, an injected timeout after it returns
+  /// (a PlanError from `eval` still wins). Thread-safe.
   RunOutcome run(const char* site, const std::string& key,
                  const EvalFn& eval);
 
@@ -90,15 +69,7 @@ class CandidateRunner {
     return static_cast<int>(quarantined_.size());
   }
 
-  const RunnerOptions& options() const { return opts_; }
-
  private:
-  /// True when any resilience machinery is live; false selects the
-  /// single-attempt fast path.
-  bool armed() const;
-  double effective_deadline_ms() const;
-
-  RunnerOptions opts_;
   mutable std::mutex mu_;  ///< guards the two maps below
   std::map<std::string, int> consecutive_failures_;
   std::set<std::string> quarantined_;

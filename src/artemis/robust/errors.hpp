@@ -10,15 +10,16 @@ namespace artemis::robust {
 /// from PlanError: a PlanError means the configuration can never run on
 /// the device (infeasible — retrying is pointless), while an EvalError
 /// means one measurement attempt failed (a crashed generated variant, a
-/// hung kernel, an unstable timing) and the candidate may still be
-/// salvageable by retrying, or must be quarantined after repeat offenses.
+/// hung kernel) and the candidate may still be salvageable by retrying,
+/// or must be quarantined after repeat offenses.
 class EvalError : public Error {
  public:
   using Error::Error;
 };
 
-/// The evaluation exceeded its wall-clock deadline (hung or pathologically
-/// slow variant; on real hardware, a kernel killed by the watchdog).
+/// The evaluation hung (on real hardware, a kernel killed by the
+/// watchdog). Evaluations here are analytic and never hang, so this is
+/// only raised for a timeout the fault harness draws (FaultSpec::timeout_p).
 class EvalTimeout : public EvalError {
  public:
   using EvalError::EvalError;
@@ -30,16 +31,9 @@ class EvalCrash : public EvalError {
   using EvalError::EvalError;
 };
 
-/// Repeated timing trials disagreed beyond the accepted dispersion
-/// (median absolute deviation over the median above the tolerance).
-class MeasurementUnstable : public EvalError {
- public:
-  using EvalError::EvalError;
-};
-
 /// Stable lower-case class name for an exception, used by telemetry
 /// events that record dropped candidates ("eval_timeout", "eval_crash",
-/// "measurement_unstable", "plan_error", "error").
+/// "plan_error", "error").
 const char* error_class(const std::exception& e);
 
 }  // namespace artemis::robust

@@ -1,9 +1,8 @@
 #include "artemis/robust/fault_injection.hpp"
 
-#include <chrono>
+#include <atomic>
 #include <cstdlib>
 #include <memory>
-#include <thread>
 
 #include "artemis/common/str.hpp"
 #include "artemis/robust/errors.hpp"
@@ -13,7 +12,6 @@ namespace artemis::robust {
 namespace {
 
 std::atomic<bool> g_enabled{false};
-FaultCounters g_counters;
 /// Owned plan; replaced under no lock. Installation happens at process
 /// start or test SetUp, never concurrently with evaluations.
 std::unique_ptr<FaultPlan> g_plan;
@@ -42,7 +40,7 @@ double parse_prob(const std::string& key, const std::string& val) {
     throw Error(str_cat("fault-spec: bad value for '", key, "': '", val,
                         "'"));
   }
-  if (key != "jitter" && key != "stall_ms" && (p < 0 || p > 1)) {
+  if (p < 0 || p > 1) {
     throw Error(str_cat("fault-spec: '", key, "' must be in [0,1], got ",
                         val));
   }
@@ -69,8 +67,8 @@ FaultSpec parse_fault_spec(const std::string& text) {
     const auto eq = token.find('=');
     if (eq == std::string::npos) {
       throw Error(str_cat("fault-spec: expected key=value, got '", token,
-                          "' (grammar: crash=P,timeout=P,perturb=P,"
-                          "jitter=F,stall_ms=MS,seed=N,site=NAME)"));
+                          "' (grammar: crash=P,timeout=P,seed=N,"
+                          "site=NAME)"));
     }
     const std::string key = token.substr(0, eq);
     const std::string val = token.substr(eq + 1);
@@ -78,12 +76,6 @@ FaultSpec parse_fault_spec(const std::string& text) {
       spec.crash_p = parse_prob(key, val);
     } else if (key == "timeout") {
       spec.timeout_p = parse_prob(key, val);
-    } else if (key == "perturb") {
-      spec.perturb_p = parse_prob(key, val);
-    } else if (key == "jitter") {
-      spec.jitter = parse_prob(key, val);
-    } else if (key == "stall_ms") {
-      spec.stall_ms = parse_prob(key, val);
     } else if (key == "seed") {
       try {
         spec.seed = std::stoull(val);
@@ -110,9 +102,8 @@ FaultSpec parse_fault_spec(const std::string& text) {
       }
     } else {
       throw Error(str_cat("fault-spec: unknown key '", key,
-                          "' (known: crash, timeout, perturb, jitter, "
-                          "stall_ms, seed, site, fs.fail, fs.enospc, "
-                          "fs.short, fs.crash_at)"));
+                          "' (known: crash, timeout, seed, site, "
+                          "fs.fail, fs.enospc, fs.short, fs.crash_at)"));
     }
   }
   return spec;
@@ -132,31 +123,13 @@ FaultAction FaultPlan::decide(const char* site, const std::string& key,
   }
   if (spec_.timeout_p > 0 &&
       fault_uniform(spec_, site, key, attempt, 2) < spec_.timeout_p) {
-    return FaultAction::Stall;
+    return FaultAction::Timeout;
   }
   return FaultAction::None;
 }
 
-double FaultPlan::perturb_time(const char* site, const std::string& key,
-                               int attempt, int trial,
-                               double time_s) const {
-  if (spec_.perturb_p <= 0 || !site_enabled(site)) return time_s;
-  const std::uint64_t lane = 3 + 2 * static_cast<std::uint64_t>(trial);
-  if (fault_uniform(spec_, site, key, attempt, lane) >= spec_.perturb_p) {
-    return time_s;
-  }
-  const double u = fault_uniform(spec_, site, key, attempt, lane + 1);
-  g_counters.perturbs.fetch_add(1, std::memory_order_relaxed);
-  return time_s * (1.0 + spec_.jitter * (2.0 * u - 1.0));
-}
-
-const FaultCounters& fault_counters() { return g_counters; }
-
 void install_fault_plan(const FaultSpec& spec) {
   g_plan = std::make_unique<FaultPlan>(spec);
-  g_counters.crashes.store(0, std::memory_order_relaxed);
-  g_counters.stalls.store(0, std::memory_order_relaxed);
-  g_counters.perturbs.store(0, std::memory_order_relaxed);
   g_enabled.store(spec.any_faults(), std::memory_order_relaxed);
 }
 
@@ -181,19 +154,18 @@ bool install_fault_plan_from_env() {
 void fault_point_slow(const char* site, const std::string& key,
                       int attempt) {
   const FaultPlan* plan = current_fault_plan();
-  if (plan == nullptr) return;
-  switch (plan->decide(site, key, attempt)) {
-    case FaultAction::None:
-      return;
-    case FaultAction::Crash:
-      g_counters.crashes.fetch_add(1, std::memory_order_relaxed);
-      throw EvalCrash(str_cat("injected crash at ", site, " [", key, "]"));
-    case FaultAction::Stall:
-      g_counters.stalls.fetch_add(1, std::memory_order_relaxed);
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-          plan->spec().stall_ms));
-      return;
+  if (plan != nullptr &&
+      plan->decide(site, key, attempt) == FaultAction::Crash) {
+    throw EvalCrash(str_cat("injected crash at ", site, " [", key, "]"));
   }
+}
+
+bool injected_timeout(const char* site, const std::string& key,
+                      int attempt) {
+  if (!fault_injection_enabled()) return false;
+  const FaultPlan* plan = current_fault_plan();
+  return plan != nullptr &&
+         plan->decide(site, key, attempt) == FaultAction::Timeout;
 }
 
 namespace {

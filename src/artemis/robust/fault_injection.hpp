@@ -1,8 +1,6 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <optional>
 #include <string>
 
 namespace artemis::robust {
@@ -11,7 +9,7 @@ namespace artemis::robust {
 /// from the `--fault-spec` command-line flag or the ARTEMIS_FAULT_SPEC
 /// environment variable; see docs/ROBUSTNESS.md for the grammar:
 ///
-///   crash=0.2,timeout=0.05,perturb=0.1,jitter=0.3,stall_ms=4,seed=42,site=tuner
+///   crash=0.2,timeout=0.05,seed=42,site=tuner
 ///
 /// All probabilities are per evaluation attempt. Faults are a pure hash
 /// of (seed, site, key, attempt): the same candidate fails the same way
@@ -19,10 +17,7 @@ namespace artemis::robust {
 /// fault-injected searches stay reproducible and resumable.
 struct FaultSpec {
   double crash_p = 0;      ///< probability of an injected EvalCrash
-  double timeout_p = 0;    ///< probability of an injected stall
-  double perturb_p = 0;    ///< probability a timing trial is perturbed
-  double jitter = 0.3;     ///< relative magnitude of a perturbed timing
-  double stall_ms = 4;     ///< how long an injected stall sleeps
+  double timeout_p = 0;    ///< probability of an injected EvalTimeout
   std::uint64_t seed = 0;  ///< hash seed; same seed => same faults
   std::string site = "";   ///< substring filter on site names ("" = all)
 
@@ -39,9 +34,7 @@ struct FaultSpec {
 
   /// Evaluation-level faults (the PR-2 fault points). fs faults are
   /// deliberately excluded: they arm FaultVfs, not the eval fault points.
-  bool any_faults() const {
-    return crash_p > 0 || timeout_p > 0 || perturb_p > 0;
-  }
+  bool any_faults() const { return crash_p > 0 || timeout_p > 0; }
   bool any_fs_faults() const {
     return fs_fail_p > 0 || fs_enospc_p > 0 || fs_short_p > 0 ||
            fs_crash_at >= 0;
@@ -61,23 +54,8 @@ double fault_uniform(const FaultSpec& spec, const char* site,
                      const std::string& key, int attempt,
                      std::uint64_t lane);
 
-/// Running totals of the decisions the installed plan has made. The
-/// counters are relaxed atomics so concurrent tuning shards can hit
-/// fault points without a data race; install_fault_plan() resets them.
-/// Because decisions are a pure hash of the coordinates, the totals for
-/// a fixed candidate set are independent of thread interleaving.
-struct FaultCounters {
-  std::atomic<std::uint64_t> crashes{0};   ///< injected EvalCrash throws
-  std::atomic<std::uint64_t> stalls{0};    ///< injected stalls slept
-  std::atomic<std::uint64_t> perturbs{0};  ///< timing trials perturbed
-};
-
-/// The process-global decision counters (valid even with no plan
-/// installed; all zero then).
-const FaultCounters& fault_counters();
-
 /// What the harness decided for one (site, key, attempt) evaluation.
-enum class FaultAction { None, Crash, Stall };
+enum class FaultAction { None, Crash, Timeout };
 
 /// A deterministic, seeded fault plan. Decisions depend only on the
 /// spec's seed and the (site, key, attempt) coordinates, never on call
@@ -91,12 +69,9 @@ class FaultPlan {
   /// Does the site-name filter select this site?
   bool site_enabled(const char* site) const;
 
+  /// Crash is drawn first (lane 1), then timeout (lane 2).
   FaultAction decide(const char* site, const std::string& key,
                      int attempt) const;
-
-  /// Possibly-perturbed timing for one trial of one attempt.
-  double perturb_time(const char* site, const std::string& key, int attempt,
-                      int trial, double time_s) const;
 
  private:
   FaultSpec spec_;
@@ -127,21 +102,18 @@ bool install_fault_plan_from_env();
 void fault_point_slow(const char* site, const std::string& key, int attempt);
 
 /// An injection site. When fault injection is off this is one relaxed
-/// atomic load. When on, it may throw EvalCrash or sleep past the
-/// caller's deadline, according to the installed plan.
+/// atomic load. When on, it throws EvalCrash if the installed plan draws
+/// a crash for these coordinates.
 inline void fault_point(const char* site, const std::string& key,
                         int attempt = 0) {
   if (!fault_injection_enabled()) return;
   fault_point_slow(site, key, attempt);
 }
 
-/// Timing perturbation hook: identity when injection is off.
-inline double perturbed_time(const char* site, const std::string& key,
-                             int attempt, int trial, double time_s) {
-  if (!fault_injection_enabled()) return time_s;
-  const FaultPlan* plan = current_fault_plan();
-  return plan ? plan->perturb_time(site, key, attempt, trial, time_s)
-              : time_s;
-}
+/// Whether the installed plan draws a timeout for these coordinates (and
+/// no crash, which is drawn first). A pure hash decision, no clock: the
+/// candidate runner raises EvalTimeout for it once the attempt's
+/// evaluation has returned.
+bool injected_timeout(const char* site, const std::string& key, int attempt);
 
 }  // namespace artemis::robust

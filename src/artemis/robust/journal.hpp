@@ -11,8 +11,8 @@
 namespace artemis::robust {
 
 /// One journaled evaluation outcome. `status` is a RunStatus name ("ok",
-/// "infeasible", "crash", "timeout", "unstable", "quarantined"); timing
-/// fields are meaningful for "ok" records only.
+/// "infeasible", "crash", "timeout", "quarantined"); timing fields are
+/// meaningful for "ok" records only.
 struct JournalRecord {
   std::string status;
   double time_s = 0;

@@ -420,8 +420,7 @@ bool exec_point(const CompiledStencil& cs, const ArrayView* views,
 
 BcRegion interior_region(const CompiledStencil& cs,
                          const std::vector<ArrayView>& views,
-                         const BcRegion& region, bool drop_outside_commit,
-                         const BcRegion& commit) {
+                         const BcRegion& region) {
   BcRegion r = region;
   const auto clamp_empty = [&r] {
     r.hi = r.lo;  // canonical empty box
@@ -484,8 +483,6 @@ BcRegion interior_region(const CompiledStencil& cs,
     if (r.empty()) break;
   }
   if (r.empty()) clamp_empty();
-  (void)drop_outside_commit;
-  (void)commit;
   return r;
 }
 
@@ -503,8 +500,7 @@ void run_split_region(const CompiledStencil& cs,
                       ExecScratch& st, BcCounters& ci, BcCounters& cr,
                       StageTrace* trace) {
   const ArrayView* vp = views.data();
-  const BcRegion in =
-      interior_region(cs, views, region, drop_outside_commit, commit);
+  const BcRegion in = interior_region(cs, views, region);
 
   const auto rim_run = [&](std::int64_t z, std::int64_t y, std::int64_t x0,
                            std::int64_t x1) {

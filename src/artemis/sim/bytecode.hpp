@@ -224,8 +224,7 @@ struct StageTrace {
 /// it internally.
 BcRegion interior_region(const CompiledStencil& cs,
                          const std::vector<ArrayView>& views,
-                         const BcRegion& region, bool drop_outside_commit,
-                         const BcRegion& commit);
+                         const BcRegion& region);
 
 /// Execute the compiled stencil over every point of `region`.
 ///

@@ -253,7 +253,7 @@ ExecCounters execute_plan(const KernelPlan& plan, GridSet& gs,
   // Native engine: lower each compiled stage once per plan execution
   // (cheap next to compilation); stages the lowering refuses fall back to
   // the bytecode engine, whose semantics the native tier reproduces
-  // bit-identically in strict mode.
+  // bit-identically.
   const bool native = opts.engine == SimEngine::Native;
   std::vector<native::LowerResult> lowered;
   const native::Tier tier = native ? native::active_tier()
@@ -267,8 +267,7 @@ ExecCounters execute_plan(const KernelPlan& plan, GridSet& gs,
     }
     lowered.reserve(compiled.size());
     for (const auto& cs : compiled) {
-      lowered.push_back(
-          native::lower_stencil(*cs, is_scratch, opts.native_fast_math));
+      lowered.push_back(native::lower_stencil(*cs, is_scratch));
       telemetry::counter_add(lowered.back().ok ? "sim.native_stages"
                                                : "sim.native_fallbacks");
     }

@@ -21,9 +21,9 @@ struct ExecCounters {
 };
 
 /// Which interpreter executes the plan's statement lists. Both produce
-/// bit-identical grids, counters and counting-mode traces (the native
-/// engine in its default strict mode); verify::run_program_oracle is the
-/// plan-free semantics oracle they are checked against.
+/// bit-identical grids, counters and counting-mode traces;
+/// verify::run_program_oracle is the plan-free semantics oracle they are
+/// checked against.
 enum class SimEngine {
   Bytecode,  ///< compiled slot-resolved bytecode (default)
   Native,    ///< SIMD interior tier over bytecode (sim/native/), rim + any
@@ -66,11 +66,6 @@ struct ExecOptions {
   /// Worker count for the block sweep; 0 resolves to default_jobs().
   int jobs = 0;
   SimEngine engine = SimEngine::Bytecode;
-  /// Native engine only: allow mul+add/sub fusion into correctly-rounded
-  /// FMAs. Deterministic across dispatch tiers and job counts, but only
-  /// ULP-bounded (not bit-identical) against the bytecode engine; the
-  /// default strict mode is bit-identical.
-  bool native_fast_math = false;
   /// Counting mode: when non-null, per-stage measured counters and line
   /// streams are collected here (identical output from both engines).
   /// Composes with the parallel sweep and leaves grids, returned counters

@@ -1,21 +1,20 @@
 // AVX2 tier: 4-wide double lanes. This translation unit (alone) is
-// compiled with -mavx2 -mfma; everything it defines lives in an anonymous
+// compiled with -mavx2; everything it defines lives in an anonymous
 // namespace so no AVX-encoded symbol can be linker-folded into another
 // tier's dispatch path.
 //
-// Strict-mode lane ops are chosen to be IEEE-identical to the scalar
-// operators, including the cases raw vector min/max get wrong:
-// VMINPD/VMAXPD return the second operand on NaN and order ±0
-// differently, so Min/Max are expressed as compare + blend exactly like
-// `b < a ? b : a`. Negation and fabs are sign-bit XOR/ANDNOT — the same
-// bit operation the scalar codegen performs. Exp/Log/Pow have no exact
-// vector form, so they run libm lane-wise through a store/compute/load
-// bounce, preserving bit-identity at vector cost only for the
-// transcendental kernels.
+// Lane ops are chosen to be IEEE-identical to the scalar operators,
+// including the cases raw vector min/max get wrong: VMINPD/VMAXPD return
+// the second operand on NaN and order ±0 differently, so Min/Max are
+// expressed as compare + blend exactly like `b < a ? b : a`. Negation and
+// fabs are sign-bit XOR/ANDNOT — the same bit operation the scalar
+// codegen performs. Exp/Log/Pow have no exact vector form, so they run
+// libm lane-wise through a store/compute/load bounce, preserving
+// bit-identity at vector cost only for the transcendental kernels.
 
 #include "artemis/sim/native/native.hpp"
 
-#if defined(__x86_64__) && defined(__AVX2__) && defined(__FMA__)
+#if defined(__x86_64__) && defined(__AVX2__)
 
 #include <immintrin.h>
 
@@ -67,11 +66,6 @@ struct Backend {
     _mm256_store_pd(bb, b);
     for (int l = 0; l < 4; ++l) ba[l] = std::pow(ba[l], bb[l]);
     return _mm256_load_pd(ba);
-  }
-  static Vec fmadd(Vec a, Vec b, Vec c) { return _mm256_fmadd_pd(a, b, c); }
-  static Vec fmsub(Vec a, Vec b, Vec c) { return _mm256_fmsub_pd(a, b, c); }
-  static Vec fnmadd(Vec a, Vec b, Vec c) {
-    return _mm256_fnmadd_pd(a, b, c);
   }
 };
 

@@ -65,11 +65,6 @@ struct Backend {
     for (int l = 0; l < 8; ++l) ba[l] = std::pow(ba[l], bb[l]);
     return _mm512_load_pd(ba);
   }
-  static Vec fmadd(Vec a, Vec b, Vec c) { return _mm512_fmadd_pd(a, b, c); }
-  static Vec fmsub(Vec a, Vec b, Vec c) { return _mm512_fmsub_pd(a, b, c); }
-  static Vec fnmadd(Vec a, Vec b, Vec c) {
-    return _mm512_fnmadd_pd(a, b, c);
-  }
 };
 
 #include "artemis/sim/native/exec_common.inl"

@@ -32,9 +32,6 @@ struct Backend {
   static Vec exp_(Vec a) { return std::exp(a); }
   static Vec log_(Vec a) { return std::log(a); }
   static Vec pow_(Vec a, Vec b) { return std::pow(a, b); }
-  static Vec fmadd(Vec a, Vec b, Vec c) { return std::fma(a, b, c); }
-  static Vec fmsub(Vec a, Vec b, Vec c) { return std::fma(a, b, -c); }
-  static Vec fnmadd(Vec a, Vec b, Vec c) { return std::fma(-a, b, c); }
 };
 
 #include "artemis/sim/native/exec_common.inl"

@@ -33,7 +33,6 @@ constexpr std::size_t kMaxCode = 4096;
 struct Lowerer {
   const CompiledStencil& cs;
   const std::vector<std::uint8_t>& is_scratch;
-  const bool fast_math;
 
   LinearProgram out;
   std::string reason;
@@ -45,8 +44,6 @@ struct Lowerer {
   /// are pure temporaries, consumed exactly once.
   std::vector<bool> pinned;
   std::vector<std::uint16_t> free_regs;
-  /// body index that defined each register, -1 when dead / not a temp.
-  std::vector<std::int32_t> def_instr;
   std::map<std::uint64_t, std::uint16_t> const_regs;  ///< keyed by raw bits
   std::map<std::int32_t, std::uint16_t> scalar_regs;
   std::map<AccessKey, std::uint16_t> load_cse;
@@ -59,8 +56,8 @@ struct Lowerer {
   std::vector<Pending> pending;  ///< statement order, like the exec buffer
 
   Lowerer(const CompiledStencil& cs_in,
-          const std::vector<std::uint8_t>& scratch_in, bool fm)
-      : cs(cs_in), is_scratch(scratch_in), fast_math(fm) {}
+          const std::vector<std::uint8_t>& scratch_in)
+      : cs(cs_in), is_scratch(scratch_in) {}
 
   std::uint16_t alloc(bool pin) {
     std::uint16_t r;
@@ -70,7 +67,6 @@ struct Lowerer {
     } else {
       r = static_cast<std::uint16_t>(out.n_regs++);
       pinned.push_back(false);
-      def_instr.push_back(-1);
     }
     pinned[r] = pin;
     return r;
@@ -84,22 +80,17 @@ struct Lowerer {
   }
 
   void free_if_temp(std::uint16_t r) {
-    if (!pinned[r]) {
-      free_regs.push_back(r);
-      def_instr[r] = -1;
-    }
+    if (!pinned[r]) free_regs.push_back(r);
   }
 
-  void emit(NOp op, std::uint16_t a, std::uint16_t b, std::uint16_t c) {
+  void emit(NOp op, std::uint16_t a, std::uint16_t b) {
     const std::uint16_t d = alloc(/*pin=*/false);
     NInstr i;
     i.op = op;
     i.dst = d;
     i.a = a;
     i.b = b;
-    i.c = c;
     out.body.push_back(i);
-    def_instr[d] = static_cast<std::int32_t>(out.body.size()) - 1;
     push(d);
   }
 
@@ -198,44 +189,15 @@ struct Lowerer {
   void unary(NOp op) {
     const std::uint16_t a = pop();
     free_if_temp(a);
-    emit(op, a, 0, 0);
-  }
-
-  /// True when r is the unpinned result of the immediately preceding Mul
-  /// — the fast-math FMA contraction candidate; nothing else can ever
-  /// read r, and no instruction after the Mul has touched the file.
-  bool fresh_product(std::uint16_t r) const {
-    return fast_math && !pinned[r] && def_instr[r] >= 0 &&
-           def_instr[r] == static_cast<std::int32_t>(out.body.size()) - 1 &&
-           out.body.back().op == NOp::Mul;
-  }
-
-  /// Replace {m = a*b; d = combine(m, addend)} with one fused op. The
-  /// Mul's operands are still live: registers freed since its emission
-  /// can only have been reallocated by another emission, and the Mul is
-  /// the last one.
-  void fuse(std::uint16_t prod, std::uint16_t addend, NOp fused) {
-    const NInstr mi = out.body.back();
-    out.body.pop_back();
-    def_instr[prod] = -1;
-    free_regs.push_back(prod);
-    free_if_temp(addend);
-    emit(fused, mi.a, mi.b, addend);
+    emit(op, a, 0);
   }
 
   void binary(NOp op) {
     const std::uint16_t b = pop();
     const std::uint16_t a = pop();
-    if (op == NOp::Add) {
-      if (fresh_product(b)) return fuse(b, a, NOp::Fmadd);
-      if (fresh_product(a)) return fuse(a, b, NOp::Fmadd);
-    } else if (op == NOp::Sub) {
-      if (fresh_product(b)) return fuse(b, a, NOp::Fnmadd);  // a - m1*m2
-      if (fresh_product(a)) return fuse(a, b, NOp::Fmsub);   // m1*m2 - b
-    }
     free_if_temp(a);
     free_if_temp(b);
-    emit(op, a, b, 0);
+    emit(op, a, b);
   }
 
   bool add_store(const BcAccess& a, std::uint16_t v) {
@@ -440,14 +402,13 @@ struct Lowerer {
 }  // namespace
 
 LowerResult lower_stencil(const CompiledStencil& cs,
-                          const std::vector<std::uint8_t>& is_scratch,
-                          bool fast_math) {
+                          const std::vector<std::uint8_t>& is_scratch) {
   LowerResult res;
   if (cs.code.size() >= kMaxCode) {
     res.reason = "statement list exceeds the virtual register budget";
     return res;
   }
-  Lowerer lw(cs, is_scratch, fast_math);
+  Lowerer lw(cs, is_scratch);
   lw.out.dims = cs.dims;
   if (!lw.run()) {
     res.reason = lw.reason;

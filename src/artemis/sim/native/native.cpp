@@ -25,9 +25,7 @@ namespace {
 Tier detect_hw() {
 #if defined(__x86_64__)
   if (__builtin_cpu_supports("avx512f")) return Tier::Avx512;
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    return Tier::Avx2;
-  }
+  if (__builtin_cpu_supports("avx2")) return Tier::Avx2;
 #endif
   return Tier::Scalar;
 }
@@ -195,8 +193,7 @@ void run_native_region(const LinearProgram& lp, const CompiledStencil& cs,
                        const BcRegion& commit, bool drop_outside_commit,
                        BcCounters& counters, StageTrace* trace, Tier tier) {
   if (region.empty()) return;
-  const BcRegion in =
-      interior_region(cs, views, region, drop_outside_commit, commit);
+  const BcRegion in = interior_region(cs, views, region);
   const RunBoxFn box_fn = run_box(tier);
 
   if (trace == nullptr) {

@@ -25,17 +25,13 @@ namespace artemis::sim::native {
 /// chain instead of reloading the whole stencil star.
 ///
 /// The boundary rim, vetoing points and anything the lowering refuses
-/// stay on the bytecode engine. In strict mode (the default) the emitted
-/// code preserves the bytecode's operation set and evaluation order
-/// exactly — no FMA contraction, lane arithmetic IEEE-identical to the
-/// scalar ops — so grids, counters and counting-mode traces are
-/// bit-identical to the bytecode engine. The declared fast-math mode additionally fuses
-/// mul+add/sub chains into correctly-rounded FMAs; it is deterministic
-/// across dispatch tiers (std::fma and vfmadd round identically) but only
-/// ULP-bounded against the bytecode engine.
+/// stay on the bytecode engine. The emitted code preserves the bytecode's
+/// operation set and evaluation order exactly — no FMA contraction, lane
+/// arithmetic IEEE-identical to the scalar ops — so grids, counters and
+/// counting-mode traces are bit-identical to the bytecode engine.
 
 /// Register-program opcodes. Load pulls through loads[aux]; everything
-/// else is regs[dst] = op(regs[a], regs[b], regs[c]).
+/// else is regs[dst] = op(regs[a], regs[b]).
 enum class NOp : std::uint8_t {
   Load,
   Neg,
@@ -50,9 +46,6 @@ enum class NOp : std::uint8_t {
   Min,
   Max,
   Pow,
-  Fmadd,   ///< dst = fma(a, b, c) — fast-math only
-  Fmsub,   ///< dst = fma(a, b, -c) — fast-math only
-  Fnmadd,  ///< dst = fma(-a, b, c) — fast-math only
 };
 
 struct NInstr {
@@ -60,7 +53,6 @@ struct NInstr {
   std::uint16_t dst = 0;
   std::uint16_t a = 0;
   std::uint16_t b = 0;
-  std::uint16_t c = 0;
   std::int32_t aux = 0;  ///< loads[] index for NOp::Load
 };
 
@@ -136,8 +128,7 @@ struct LowerResult {
 /// different coordinate selectors may or may not hit depending on the
 /// point). All canonical-index paper kernels lower.
 LowerResult lower_stencil(const CompiledStencil& cs,
-                          const std::vector<std::uint8_t>& is_scratch,
-                          bool fast_math);
+                          const std::vector<std::uint8_t>& is_scratch);
 
 /// SIMD dispatch tiers, widest last.
 enum class Tier { Scalar, Avx2, Avx512 };

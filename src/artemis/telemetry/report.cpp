@@ -155,12 +155,11 @@ Json build_run_report(const ReportMeta& meta,
 
   // Resilience accounting (docs/ROBUSTNESS.md): what fault injection,
   // retries, quarantine, and the tuning journal did during this run.
-  // Crashed / timed-out / unstable / quarantined candidates are already
+  // Crashed / timed-out / quarantined candidates are already
   // inside tuner.infeasible above; these break the losses down.
   Json resilience = Json::object();
   resilience.set("eval_crashes", counter("tuner.eval_crashes"));
   resilience.set("eval_timeouts", counter("tuner.eval_timeouts"));
-  resilience.set("eval_unstable", counter("tuner.eval_unstable"));
   resilience.set("eval_retries", counter("tuner.eval_retries"));
   resilience.set("quarantined", counter("tuner.quarantined"));
   resilience.set("quarantine_skips", counter("tuner.quarantine_skips"));

@@ -11,7 +11,7 @@ namespace artemis::telemetry {
 
 /// Schema version of the run report. Bump on any breaking change to the
 /// JSON layout; trajectory tooling keys on it.
-inline constexpr int kReportVersion = 3;
+inline constexpr int kReportVersion = 4;
 
 /// Run identification attached to the report header.
 struct ReportMeta {

@@ -1,9 +1,7 @@
 #include "artemis/verify/oracle.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
-#include <limits>
 #include <map>
 
 #include "artemis/codegen/plan_builder.hpp"
@@ -191,76 +189,6 @@ std::string counters_diff(const sim::ExecCounters& a,
 
 namespace {
 
-/// Map a double onto a monotonically ordered integer line so that the
-/// distance between two mapped values is their ULP separation. Negative
-/// values fold below zero; -0.0 and +0.0 both land on 0.
-std::int64_t ulp_order(double v) {
-  std::int64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits >= 0 ? bits
-                   : std::numeric_limits<std::int64_t>::min() - bits;
-}
-
-std::uint64_t ulp_distance(double a, double b) {
-  const std::int64_t ua = ulp_order(a), ub = ulp_order(b);
-  return static_cast<std::uint64_t>(std::max(ua, ub)) -
-         static_cast<std::uint64_t>(std::min(ua, ub));
-}
-
-}  // namespace
-
-std::string grids_ulp_diff(const sim::GridSet& a, const sim::GridSet& b,
-                           std::uint64_t max_ulps,
-                           const std::set<std::string>& skip) {
-  for (const auto& [name, ga] : a.grids()) {
-    if (skip.count(name)) continue;
-    if (!b.has_grid(name)) {
-      return str_cat("grid '", name, "' missing from second set");
-    }
-    const Grid3D& gb = b.grid(name);
-    if (!(ga->extents() == gb.extents())) {
-      return str_cat("grid '", name, "' extents differ");
-    }
-    // Near an exact cancellation the fused and unfused products round to
-    // values whose ULP distance is unbounded even though the absolute
-    // difference is one rounding error of the *operands* — so an
-    // eps-sized absolute escape accompanies the ULP bound. A relative
-    // escape covers the dual amplification: exp/pow map a one-ULP input
-    // difference to arbitrarily many output ULPs, and iterative programs
-    // compound per-step rounding, so a per-FMA error can legitimately
-    // surface as ~1e-12 relative on a 1e+40-magnitude result. Both
-    // escapes are orders of magnitude below any structural miscompile
-    // (wrong offset, wrong operand), which shows up at O(1) relative.
-    constexpr double kAbsEscape = 1e-9;
-    constexpr double kRelEscape = 1e-9;
-    const auto& e = ga->extents();
-    for (std::int64_t z = 0; z < e.z; ++z) {
-      for (std::int64_t y = 0; y < e.y; ++y) {
-        for (std::int64_t x = 0; x < e.x; ++x) {
-          const double va = ga->at(z, y, x);
-          const double vb = gb.at(z, y, x);
-          if (std::isnan(va) && std::isnan(vb)) continue;
-          if (std::abs(va - vb) <= kAbsEscape) continue;
-          if (std::abs(va - vb) <=
-              kRelEscape * std::max(std::abs(va), std::abs(vb))) {
-            continue;
-          }
-          if (std::isnan(va) != std::isnan(vb) ||
-              ulp_distance(va, vb) > max_ulps) {
-            return str_cat("grid '", name, "' differs at (", z, ",", y, ",",
-                           x, ") beyond ", max_ulps, " ulps: ",
-                           format_double(va, 17), " vs ",
-                           format_double(vb, 17));
-          }
-        }
-      }
-    }
-  }
-  return {};
-}
-
-namespace {
-
 /// "" when two counting runs of the same plans recorded the same
 /// per-stage line streams, interior/rim counters and write-backs.
 std::string traces_diff(const std::vector<sim::PlanTrace>& a,
@@ -320,7 +248,7 @@ std::string engines_diff(const ir::Program& prog, const KernelConfig& cfg,
     return {};
   };
 
-  // Native strict mode keeps the source evaluation order and never
+  // The native engine keeps the source evaluation order and never
   // fuses, so both engines land bit for bit on the oracle at every job
   // count.
   if (std::string d = check(first, "bytecode jobs=1"); !d.empty()) return d;
@@ -334,26 +262,6 @@ std::string engines_diff(const ir::Program& prog, const KernelConfig& cfg,
         return d;
       }
     }
-  }
-  // Native fast-math: FMA contraction is a declared rounding change, so
-  // grids are held to a ULP bound instead of bit identity — but counters
-  // never depend on values, and the mode must stay deterministic across
-  // job counts (bit-identical to itself).
-  constexpr std::uint64_t kFastMathUlps = 64;
-  const RunResult fm1 = run(
-      {.jobs = 1, .engine = sim::SimEngine::Native, .native_fast_math = true});
-  if (std::string d =
-          grids_ulp_diff(want, fm1.gs, kFastMathUlps, fm1.scratch_only);
-      !d.empty()) {
-    return str_cat("oracle vs native fast-math: ", d);
-  }
-  if (std::string d = counters_diff(expect, fm1.totals); !d.empty()) {
-    return str_cat("oracle vs native fast-math: ", d);
-  }
-  const RunResult fm2 = run(
-      {.jobs = 2, .engine = sim::SimEngine::Native, .native_fast_math = true});
-  if (std::string d = grids_diff(fm1.gs, fm2.gs); !d.empty()) {
-    return str_cat("native fast-math jobs=1 vs jobs=2: ", d);
   }
   // Counting traces hold an entry per coalesced global access; on a
   // production-sized domain that is gigabytes for little extra coverage

@@ -26,7 +26,7 @@ struct RunResult {
 };
 
 /// Execute every plan of `prog` — per-call, or all calls fused into one
-/// plan — under `opts` (engine, jobs, fast math), collecting summed
+/// plan — under `opts` (engine, jobs), collecting summed
 /// counters. With `counting`, every plan runs in counting mode and its
 /// trace is kept. This is the differential driver of engines_diff, the
 /// verify properties and the simulator tests.
@@ -58,29 +58,17 @@ std::string grids_diff(const sim::GridSet& a, const sim::GridSet& b,
 std::string counters_diff(const sim::ExecCounters& a,
                           const sim::ExecCounters& b);
 
-/// ULP-bounded grid comparison for the native engine's declared
-/// fast-math mode: every element of `b` must be within `max_ulps` units
-/// in the last place of the matching element of `a` (two NaNs compare
-/// equal regardless of payload; a NaN against a number fails). Grids of
-/// `a` named in `skip` are not compared. Returns "" on success, otherwise
-/// the first out-of-bound element.
-std::string grids_ulp_diff(const sim::GridSet& a, const sim::GridSet& b,
-                           std::uint64_t max_ulps,
-                           const std::set<std::string>& skip = {});
-
 /// The differential check of every execution path against
 /// run_program_oracle:
 ///  - the compiled reference (sim::run_program_reference) matches the
 ///    oracle's grids bit for bit;
-///  - the bytecode and strict native engines at jobs 1, 2 and 4 match
+///  - the bytecode and native engines at jobs 1, 2 and 4 match
 ///    them too — every grid for per-call plans; for a fused plan
 ///    (`fuse`) every grid but its scratch-only internals;
 ///  - per-call plans report the oracle's computed, skipped and global
 ///    read/write counts and no scratch traffic; a fused plan, which
 ///    recomputes halos in scratch, reports its global writes;
 ///  - every run reports the counters of the first;
-///  - native fast math stays ULP-bounded against the oracle and
-///    bit-identical to itself across job counts;
 ///  - on small domains, counting-mode traces (per-stage line streams,
 ///    interior/rim counters, write-backs) of bytecode at jobs 1 and
 ///    native at jobs 4 are equal.

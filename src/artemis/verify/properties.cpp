@@ -2,14 +2,8 @@
 // checker is exception-safe at the check_property boundary: anything a
 // transform/engine throws on a valid program is itself a finding.
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "artemis/autotune/search.hpp"
 #include "artemis/codegen/plan_builder.hpp"
@@ -21,6 +15,7 @@
 #include "artemis/profile/profiler.hpp"
 #include "artemis/robust/journal.hpp"
 #include "artemis/sim/reference.hpp"
+#include "artemis/storage/vfs.hpp"
 #include "artemis/transform/fission.hpp"
 #include "artemis/transform/fold.hpp"
 #include "artemis/transform/fusion.hpp"
@@ -29,8 +24,6 @@
 #include "artemis/verify/verify.hpp"
 
 namespace artemis::verify {
-
-namespace fs = std::filesystem;
 
 const char* property_name(Property p) {
   switch (p) {
@@ -400,16 +393,13 @@ CheckResult check_tuner_determinism(const ir::Program& prog,
     std::string journal_bytes;
   };
   const auto run_once = [&](int jobs) {
-    const fs::path jpath =
-        fs::temp_directory_path() /
-        str_cat("artemis-verify-", seed, "-j", jobs, "-",
-                static_cast<unsigned>(::getpid()), ".wal");
-    std::error_code ec;
-    fs::remove(jpath, ec);
-    robust::TuningJournal journal;
-    const auto load = journal.open(jpath.string(), "verify", false);
+    // Only the journal bytes are compared, so each tune journals into a
+    // filesystem of its own in memory.
+    storage::MemVfs vfs;
+    robust::TuningJournal journal(vfs);
+    const auto load = journal.open("verify.wal", "verify", false);
     ARTEMIS_CHECK_MSG(load.status != robust::JournalLoadResult::Status::IoError,
-                      "cannot open temp journal " << jpath.string());
+                      "cannot open in-memory journal: " << load.message);
     autotune::TuneOptions to;
     to.jobs = jobs;
     to.journal = &journal;
@@ -417,11 +407,7 @@ CheckResult check_tuner_determinism(const ir::Program& prog,
     Run r;
     r.result = autotune::hierarchical_tune(factory, seed_cfg, dev, params,
                                            to);
-    std::ifstream in(jpath);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    r.journal_bytes = buf.str();
-    fs::remove(jpath, ec);
+    r.journal_bytes = vfs.read("verify.wal").value_or("");
     return r;
   };
 

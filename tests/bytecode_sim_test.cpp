@@ -242,7 +242,7 @@ TEST(BytecodeSim, InteriorRegionMatchesHaloGeometry) {
   BcRegion full;
   full.lo = {0, 0, 0};
   full.hi = {16, 16, 16};
-  const BcRegion in = interior_region(cs, views, full, false, BcRegion{});
+  const BcRegion in = interior_region(cs, views, full);
   EXPECT_EQ(in.lo, (std::array<std::int64_t, 3>{1, 1, 1}));
   EXPECT_EQ(in.hi, (std::array<std::int64_t, 3>{15, 15, 15}));
 
@@ -250,7 +250,7 @@ TEST(BytecodeSim, InteriorRegionMatchesHaloGeometry) {
   BcRegion inner;
   inner.lo = {4, 4, 4};
   inner.hi = {10, 10, 10};
-  const BcRegion in2 = interior_region(cs, views, inner, false, BcRegion{});
+  const BcRegion in2 = interior_region(cs, views, inner);
   EXPECT_EQ(in2.lo, inner.lo);
   EXPECT_EQ(in2.hi, inner.hi);
 }

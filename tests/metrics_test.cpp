@@ -22,7 +22,6 @@
 #include "artemis/sim/executor.hpp"
 #include "artemis/stencils/random_stencil.hpp"
 #include "artemis/telemetry/telemetry.hpp"
-#include "artemis/verify/oracle.hpp"
 #include "test_programs.hpp"
 
 namespace artemis::metrics {
@@ -240,37 +239,6 @@ TEST(MeasurePlan, MeasurementIsJobsInvariant) {
       EXPECT_EQ(metrics_snapshot(m), serial) << "jobs=" << jobs;
     }
   }
-}
-
-TEST(MeasurePlan, CountsInStrictModeWhateverTheBaseAsks) {
-  // measure_plan counts on the strict native engine. A caller's fast-math
-  // request would fuse mul+add into FMAs and change the grids, so it is
-  // overridden: the grids equal a plain strict run bit for bit, and the
-  // metrics equal a measurement from default options.
-  const ir::Program prog = dsl::parse(artemis::testing::kJacobiDsl);
-  const auto dev = gpumodel::p100();
-  KernelConfig cfg;
-  cfg.block = {8, 4, 2};
-  const auto plan =
-      codegen::build_plan_for_call(prog, prog.steps[0].call, cfg, dev);
-
-  const sim::GridSet init = sim::GridSet::from_program(prog, 4);
-  sim::GridSet strict = init.clone();
-  sim::execute_plan(plan, strict);
-  sim::ExecOptions fast;
-  fast.engine = sim::SimEngine::Native;
-  fast.native_fast_math = true;
-  sim::GridSet fused = init.clone();
-  sim::execute_plan(plan, fused, fast);
-  ASSERT_NE(verify::grids_diff(strict, fused), "")
-      << "fast math must change this plan's grids for the test to bite";
-
-  sim::GridSet measured = init.clone();
-  const PlanMetrics m = measure_plan(plan, measured, dev, fast);
-  EXPECT_EQ(verify::grids_diff(strict, measured), "");
-  sim::GridSet reference = init.clone();
-  EXPECT_EQ(metrics_snapshot(m),
-            metrics_snapshot(measure_plan(plan, reference, dev)));
 }
 
 TEST(MeasurePlan, DegenerateAxes1D) {

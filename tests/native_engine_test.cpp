@@ -14,7 +14,6 @@
 #include "artemis/sim/native/native.hpp"
 #include "artemis/sim/reference.hpp"
 #include "artemis/telemetry/telemetry.hpp"
-#include "artemis/verify/oracle.hpp"
 #include "test_programs.hpp"
 
 namespace artemis::sim {
@@ -80,7 +79,7 @@ bool grids_bit_identical(const GridSet& a, const GridSet& b) {
 TEST(NativeEngine, JacobiLowers) {
   const ir::Program prog = dsl::parse(artemis::testing::kJacobiDsl);
   RawStage st(prog, 1);
-  const auto r = native::lower_stencil(st.cs, st.is_scratch, false);
+  const auto r = native::lower_stencil(st.cs, st.is_scratch);
   ASSERT_TRUE(r.ok) << r.reason;
   EXPECT_EQ(r.prog.dims, 3);
   EXPECT_EQ(r.prog.stores.size(), 1u);
@@ -100,29 +99,6 @@ TEST(NativeEngine, JacobiLowers) {
   EXPECT_TRUE(has_len3);
 }
 
-TEST(NativeEngine, FastMathFusesMulAdd) {
-  const ir::Program prog = dsl::parse(artemis::testing::kJacobiDsl);
-  RawStage st(prog, 1);
-  const auto strict = native::lower_stencil(st.cs, st.is_scratch, false);
-  const auto fast = native::lower_stencil(st.cs, st.is_scratch, true);
-  ASSERT_TRUE(strict.ok && fast.ok);
-  const auto count_fused = [](const native::LinearProgram& lp) {
-    int n = 0;
-    for (const auto& in : lp.body) {
-      if (in.op == native::NOp::Fmadd || in.op == native::NOp::Fmsub ||
-          in.op == native::NOp::Fnmadd) {
-        ++n;
-      }
-    }
-    return n;
-  };
-  EXPECT_EQ(count_fused(strict.prog), 0);
-  EXPECT_GT(count_fused(fast.prog), 0);
-  // Fusing removes instructions but never changes per-point accounting.
-  EXPECT_EQ(fast.prog.flops_per_point, strict.prog.flops_per_point);
-  EXPECT_EQ(fast.prog.greads_pp, strict.prog.greads_pp);
-}
-
 TEST(NativeEngine, RefusesNonInjectiveStore) {
   // A store that drops iterator i maps every x to one element, so the
   // result depends on point order — the lowering must refuse, never
@@ -138,7 +114,7 @@ TEST(NativeEngine, RefusesNonInjectiveStore) {
       a.off[2] = 0;
     }
   }
-  const auto r = native::lower_stencil(st.cs, st.is_scratch, false);
+  const auto r = native::lower_stencil(st.cs, st.is_scratch);
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.reason.find("does not address every iterator"),
             std::string::npos)
@@ -162,7 +138,7 @@ transpose (out, in);
 copyout out;
 )");
   RawStage st(prog, 1);
-  const auto r = native::lower_stencil(st.cs, st.is_scratch, false);
+  const auto r = native::lower_stencil(st.cs, st.is_scratch);
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.reason.find("pending-write aliasing"), std::string::npos)
       << r.reason;
@@ -193,7 +169,7 @@ TEST(NativeEngine, AllSupportedTiersBitIdentical) {
   }
   for (const native::Tier tier : tiers) {
     RawStage got(prog, 9);
-    const auto r = native::lower_stencil(got.cs, got.is_scratch, false);
+    const auto r = native::lower_stencil(got.cs, got.is_scratch);
     ASSERT_TRUE(r.ok) << r.reason;
     BcCounters c;
     native::run_native_region(r.prog, got.cs, got.views,
@@ -282,25 +258,6 @@ TEST(NativeEngine, CompileCacheDedupesIdenticalStages) {
   const auto hit = counters.find("sim.compile_hits");
   ASSERT_NE(hit, counters.end());
   EXPECT_GE(hit->second, 1);
-}
-
-// ---- fast-math -------------------------------------------------------------
-
-TEST(NativeEngine, FastMathIsUlpBoundedAndJobsDeterministic) {
-  const ir::Program prog = dsl::parse(artemis::testing::kJacobiDsl);
-  KernelConfig cfg;
-  cfg.block = {8, 4, 2};
-  const auto strict =
-      verify::run_program_plans(prog, cfg, false, 31, {.jobs = 1});
-  const auto fm1 = verify::run_program_plans(
-      prog, cfg, false, 31,
-      {.jobs = 1, .engine = SimEngine::Native, .native_fast_math = true});
-  EXPECT_EQ(verify::grids_ulp_diff(strict.gs, fm1.gs, 64), "");
-  EXPECT_EQ(verify::counters_diff(strict.totals, fm1.totals), "");
-  const auto fm4 = verify::run_program_plans(
-      prog, cfg, false, 31,
-      {.jobs = 4, .engine = SimEngine::Native, .native_fast_math = true});
-  EXPECT_TRUE(grids_bit_identical(fm1.gs, fm4.gs));
 }
 
 }  // namespace

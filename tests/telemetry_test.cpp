@@ -230,11 +230,11 @@ TEST_F(TelemetryTest, RunReportRoundTripsAndCountersSumConsistently) {
                "pruned_spill_budgets", "journal_hits", "candidates",
                "leaderboard_changes", "leaderboard_events", "space"});
   expect_keys(back["resilience"],
-              {"eval_crashes", "eval_timeouts", "eval_unstable",
-               "eval_retries", "quarantined", "quarantine_skips", "degraded",
+              {"eval_crashes", "eval_timeouts", "eval_retries",
+               "quarantined", "quarantine_skips", "degraded",
                "journal_records", "journal_replayed", "journal_parse_errors",
                "journal_write_errors", "dropped_candidates", "dropped"});
-  EXPECT_EQ(back["report_version"].as_int(), 3);
+  EXPECT_EQ(back["report_version"].as_int(), 4);
   EXPECT_EQ(back["report_version"].as_int(), kReportVersion);
   EXPECT_EQ(back["source"].as_string(), "jacobi-iterative.dsl");
   EXPECT_EQ(back["strategy"].as_string(), "artemis");
@@ -278,7 +278,6 @@ TEST_F(TelemetryTest, RunReportRoundTripsAndCountersSumConsistently) {
   const Json& resilience = back["resilience"];
   EXPECT_EQ(resilience["eval_crashes"].as_int(), 0);
   EXPECT_EQ(resilience["eval_timeouts"].as_int(), 0);
-  EXPECT_EQ(resilience["eval_unstable"].as_int(), 0);
   EXPECT_EQ(resilience["degraded"].as_int(), 0);
   EXPECT_EQ(resilience["journal_records"].as_int(), 0);
 

@@ -163,14 +163,11 @@ TEST(VerifyOracle, SkipSetIgnoresExactlyTheNamedGrids) {
   sim::GridSet b = a.clone();
   b.grid("tmp").at(1, 1, 1) += 1.0;
   EXPECT_NE(grids_diff(a, b), "");
-  EXPECT_NE(grids_ulp_diff(a, b, 64), "");
   EXPECT_EQ(grids_diff(a, b, {"tmp"}), "");
-  EXPECT_EQ(grids_ulp_diff(a, b, 64, {"tmp"}), "");
   EXPECT_NE(grids_diff(a, b, {"out", "u"}), "");
   b.grid("out").at(1, 1, 1) += 1.0;
   const std::string diff = grids_diff(a, b, {"tmp"});
   EXPECT_NE(diff.find("'out'"), std::string::npos) << diff;
-  EXPECT_NE(grids_ulp_diff(a, b, 64, {"tmp"}), "");
 
   // A fused DAG keeps `tmp` in scratch only, unless it is copied out.
   codegen::KernelConfig cfg;
