@@ -2,108 +2,33 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
 #include <limits>
-#include <optional>
 
 #include "artemis/common/check.hpp"
-#include "artemis/common/parallel.hpp"
 
 namespace artemis::autotune {
 
-namespace {
-
-/// Tune one fused-kernel version (time tile x). Pure with respect to the
-/// deep-tune result: all bookkeeping happens in the caller's ordered
-/// reduction, so the shards may run in any order on any thread.
-DeepTuneEntry tune_one_tile(const ir::Program& prog,
-                            const ir::Step& iterate_step,
-                            const gpumodel::DeviceSpec& dev,
-                            const gpumodel::ModelParams& params,
-                            const DeepTuneOptions& opts, int x) {
-  const transform::TimeTiledKernel tt =
-      transform::time_tile_iterate(prog, iterate_step, x);
-
-  // One template per fused version: each tuner evaluation only
-  // configures it for its config.
-  const codegen::StageTemplate tmpl(tt.augmented, tt.stages);
-  const PlanFactory factory = [&tmpl, &dev](const codegen::KernelConfig& cfg) {
-    return codegen::configure(tmpl, cfg, dev);
-  };
-
-  codegen::KernelConfig seed;
-  seed.tiling = codegen::TilingScheme::StreamSerial;
-  seed.stream_axis = static_cast<int>(prog.iterators.size()) - 1;
-  seed.time_tile = x;
-
-  DeepTuneEntry entry;
-  entry.time_tile = x;
-  entry.tuned = hierarchical_tune(factory, seed, dev, params, opts.tune);
-  entry.time_s = entry.tuned.best.time_s;
-  entry.tflops = entry.tuned.best.eval.tflops();
-  entry.report =
-      profile::profile_plan(factory(entry.tuned.best.config), dev, params);
-  return entry;
-}
-
-}  // namespace
-
-DeepTuneResult deep_tune(const ir::Program& prog,
-                         const ir::Step& iterate_step,
-                         const gpumodel::DeviceSpec& dev,
-                         const gpumodel::ModelParams& params,
-                         const DeepTuneOptions& opts) {
+DeepTuneResult deep_tune(int max_time_tile, const TileTuner& tune_tile) {
   DeepTuneResult result;
   bool past_cusp = false;
-  const int jobs = resolve_tune_jobs(opts.tune);
-
-  if (jobs > 1 && opts.max_time_tile > 1) {
-    // Parallel path: tune every tile size 1..max_time_tile as a shard
-    // (the inner searches drop to jobs=1 on pool workers), then replay
-    // the serial stopping rule over the shards in x order. Versions past
-    // the serial stopping point are tuned speculatively and discarded;
-    // the returned entries, cusp handling, and tipping point are
-    // identical to the serial loop. A shard's exception is rethrown only
-    // if the serial loop would have reached that x.
-    struct Shard {
-      std::optional<DeepTuneEntry> entry;
-      std::exception_ptr error;
-    };
-    std::vector<Shard> shards(static_cast<std::size_t>(opts.max_time_tile));
-    TaskPool pool(std::min(jobs, opts.max_time_tile));
-    pool.for_each(opts.max_time_tile, [&](std::int64_t i) {
-      Shard& shard = shards[static_cast<std::size_t>(i)];
-      try {
-        shard.entry = tune_one_tile(prog, iterate_step, dev, params, opts,
-                                    static_cast<int>(i) + 1);
-      } catch (...) {
-        shard.error = std::current_exception();
-      }
-    });
-    for (auto& shard : shards) {
-      if (shard.error) std::rethrow_exception(shard.error);
-      const bool still_bandwidth_bound =
-          shard.entry->report.bandwidth_bound_anywhere();
-      result.entries.push_back(std::move(*shard.entry));
-      if (!still_bandwidth_bound) {
-        if (!opts.explore_past_cusp || past_cusp) break;
-        past_cusp = true;
-      }
+  for (int x = 1; x <= max_time_tile; ++x) {
+    DeepTuneEntry entry;
+    try {
+      entry = tune_tile(x);
+    } catch (const PlanError&) {
+      // Resource constraints leave no feasible configuration at this
+      // fusion degree; deeper fusion cannot become feasible again.
+      break;
     }
-  } else {
-    for (int x = 1; x <= opts.max_time_tile; ++x) {
-      DeepTuneEntry entry =
-          tune_one_tile(prog, iterate_step, dev, params, opts, x);
-      const bool still_bandwidth_bound =
-          entry.report.bandwidth_bound_anywhere();
-      result.entries.push_back(std::move(entry));
+    const bool still_bandwidth_bound =
+        entry.report.bandwidth_bound_anywhere();
+    result.entries.push_back(std::move(entry));
 
-      // Fusion only helps while some bandwidth roof is binding (Section
-      // VI-A); stop after recording one post-cusp point for the plot.
-      if (!still_bandwidth_bound) {
-        if (!opts.explore_past_cusp || past_cusp) break;
-        past_cusp = true;
-      }
+    // Fusion only helps while some bandwidth roof is binding (Section
+    // VI-A); stop after recording one post-cusp point for the plot.
+    if (!still_bandwidth_bound) {
+      if (past_cusp) break;
+      past_cusp = true;
     }
   }
 
@@ -117,6 +42,39 @@ DeepTuneResult deep_tune(const ir::Program& prog,
     }
   }
   return result;
+}
+
+DeepTuneResult deep_tune(const ir::Program& prog,
+                         const ir::Step& iterate_step,
+                         const gpumodel::DeviceSpec& dev,
+                         const gpumodel::ModelParams& params,
+                         const DeepTuneOptions& opts) {
+  return deep_tune(opts.max_time_tile, [&](int x) {
+    const transform::TimeTiledKernel tt =
+        transform::time_tile_iterate(prog, iterate_step, x);
+
+    // One template per fused version: each tuner evaluation only
+    // configures it for its config.
+    const codegen::StageTemplate tmpl(tt.augmented, tt.stages);
+    const PlanFactory factory = [&tmpl,
+                                 &dev](const codegen::KernelConfig& cfg) {
+      return codegen::configure(tmpl, cfg, dev);
+    };
+
+    codegen::KernelConfig seed;
+    seed.tiling = codegen::TilingScheme::StreamSerial;
+    seed.stream_axis = static_cast<int>(prog.iterators.size()) - 1;
+    seed.time_tile = x;
+
+    DeepTuneEntry entry;
+    entry.time_tile = x;
+    entry.tuned = hierarchical_tune(factory, seed, dev, params, opts.tune);
+    entry.time_s = entry.tuned.best.time_s;
+    entry.tflops = entry.tuned.best.eval.tflops();
+    entry.report =
+        profile::profile_plan(factory(entry.tuned.best.config), dev, params);
+    return entry;
+  });
 }
 
 std::vector<int> fusion_schedule(const DeepTuneResult& result, int T) {

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <functional>
+
 #include "artemis/autotune/search.hpp"
 #include "artemis/transform/fusion.hpp"
 
@@ -15,9 +17,9 @@ struct DeepTuneEntry {
 };
 
 /// Result of deep tuning (Section VI-A): versions (1x1) .. (kx1), tuned
-/// and profiled in order; exploration stops at the first version that is
-/// no longer bandwidth-bound at DRAM, texture or shared memory (fusing
-/// further cannot help) or that stops improving.
+/// and profiled in order; exploration stops one version past the first
+/// that is no longer bandwidth-bound at DRAM, texture or shared memory
+/// (fusing further cannot help), or at the first infeasible version.
 struct DeepTuneResult {
   std::vector<DeepTuneEntry> entries;
   /// The time tile size after which fusion stops paying off (the "cusp"
@@ -28,15 +30,23 @@ struct DeepTuneResult {
 struct DeepTuneOptions {
   int max_time_tile = 8;
   TuneOptions tune;
-  /// Keep exploring one step past the profiler's stop signal to expose
-  /// the cusp in the deep-tuning plot.
-  bool explore_past_cusp = true;
 };
 
-/// Deep-tune an iterate block: for x = 1, 2, ... build the (x x 1) fused
-/// kernel via transform::time_tile_iterate, autotune it, profile the
-/// winner, and continue while the profiler still reports bandwidth
-/// boundedness at some memory level. Per-step time is time_s / x.
+/// Tunes and profiles the (x x 1) fused version for x = its argument.
+/// Throws PlanError when no configuration of that version is feasible.
+using TileTuner = std::function<DeepTuneEntry(int time_tile)>;
+
+/// The deep-tuning loop (Section VI-A): for x = 1 .. max_time_tile, tune
+/// version x and continue while its profile is bandwidth-bound at some
+/// memory level, recording one version past the first that is not (the
+/// cusp of the deep-tuning plot). A PlanError at x ends the loop with
+/// versions 1 .. x-1. The tipping point is the fastest version per step
+/// (time_s / x).
+DeepTuneResult deep_tune(int max_time_tile, const TileTuner& tune_tile);
+
+/// Deep-tune an iterate block with the default tile tuner: the (x x 1)
+/// kernel from transform::time_tile_iterate, seeded with serial streaming,
+/// shared memory on, autotuned with `opts.tune` and its winner profiled.
 DeepTuneResult deep_tune(const ir::Program& prog,
                          const ir::Step& iterate_step,
                          const gpumodel::DeviceSpec& dev,

@@ -1,6 +1,7 @@
 #include "artemis/codegen/cuda_emitter.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <set>
 
 #include "artemis/common/check.hpp"
@@ -44,6 +45,15 @@ std::string linear_index(const ir::Program& prog, const std::string& array,
     }
   }
   return out;
+}
+
+/// `name` as a C identifier: every character outside [A-Za-z0-9_] becomes
+/// '_' (a fused plan's name joins its stage names with '+').
+std::string identifier(std::string name) {
+  for (char& c : name) {
+    if (std::isalnum(static_cast<unsigned char>(c)) == 0) c = '_';
+  }
+  return name;
 }
 
 /// Context for expression emission.
@@ -219,7 +229,7 @@ std::string emit_spatial_kernel(const ir::Program& prog,
   EmitCtx ctx{&prog, &plan, /*streaming=*/false, -1};
   const auto& cfg = plan.config;
   std::string k;
-  k += str_cat("__global__ void ", plan.name, "_kernel(",
+  k += str_cat("__global__ void ", identifier(plan.name), "_kernel(",
                kernel_params(prog, plan), ") {\n");
   // Block origin and thread coordinates.
   for (int axis = 0; axis < plan.dims; ++axis) {
@@ -340,7 +350,7 @@ std::string emit_streaming_kernel(const ir::Program& prog,
   const char* sweep_dim = kDimNames[plan.dims - 1];
 
   std::string k;
-  k += str_cat("__global__ void ", plan.name, "_kernel(",
+  k += str_cat("__global__ void ", identifier(plan.name), "_kernel(",
                kernel_params(prog, plan), ") {\n");
   for (int axis = 0; axis < plan.dims - 1; ++axis) {
     const char* it = kIterNames[axis];
@@ -469,7 +479,8 @@ CudaSource emit_cuda(const ir::Program& prog, const KernelPlan& plan) {
 
   // Host launcher.
   std::string h;
-  h += str_cat("void launch_", plan.name, "(/* host pointers */) {\n");
+  h += str_cat("void launch_", identifier(plan.name),
+               "(/* host pointers */) {\n");
   for (const auto& name : prog.copyin) {
     if (prog.find_array(name)) {
       h += str_cat("  cudaMemcpy(d_", name, ", h_", name,
@@ -509,8 +520,8 @@ CudaSource emit_cuda(const ir::Program& prog, const KernelPlan& plan) {
   for (int axis = plan.dims - 1; axis >= 0; --axis) {
     args.push_back(kDimNames[axis]);
   }
-  h += str_cat("  ", plan.name, "_kernel<<<grid, block>>>(", join(args, ", "),
-               ");\n");
+  h += str_cat("  ", identifier(plan.name), "_kernel<<<grid, block>>>(",
+               join(args, ", "), ");\n");
   for (const auto& name : prog.copyout) {
     h += str_cat("  cudaMemcpy(h_", name, ", d_", name, ", bytes_of(", name,
                  "), cudaMemcpyDeviceToHost);\n");

@@ -118,9 +118,6 @@ struct KernelPlan {
   /// Iterator names of the source program (outermost first), for emission.
   std::vector<std::string> iterators;
 
-  /// Axis (0=x,1=y,2=z) for a program iterator index (0=outermost).
-  int axis_of_iter(int iter_index) const { return dims - 1 - iter_index; }
-
   /// Number of thread blocks launched over the whole domain.
   std::int64_t num_blocks() const;
   /// Output tile extent per block along an axis (block * unroll).

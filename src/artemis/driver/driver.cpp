@@ -57,17 +57,53 @@ std::int64_t domain_points(const ir::Program& prog,
   return pts;
 }
 
-/// Tune one stage list under a strategy; returns the best candidate.
-autotune::TuneResult tune_stages(const ir::Program& prog,
-                                 const std::vector<ir::BoundStencil>& stages,
+/// A recipe bound at one time tile: the program the stages bind against,
+/// the stage list and the build options of the recipe's memory version.
+struct BoundRecipe {
+  ir::Program program;
+  std::vector<ir::BoundStencil> stages;
+  BuildOptions options;
+};
+
+/// The one binder of recipes. A run of calls binds call i with prefix
+/// `f<i>_`, so fused stages' local temporaries never collide; an iterate
+/// block binds its (time_tile x 1) fused version.
+BoundRecipe bind_recipe(const KernelRecipe& recipe, int time_tile) {
+  BoundRecipe b;
+  b.options = {.use_shared_memory = recipe.use_shared_memory,
+               .fuse_internal = true};
+  const auto& steps = recipe.program.steps;
+  const ir::Step& first = steps.at(static_cast<std::size_t>(recipe.first_call));
+  if (first.kind == ir::Step::Kind::Iterate) {
+    transform::TimeTiledKernel tt =
+        transform::time_tile_iterate(recipe.program, first, time_tile);
+    b.program = std::move(tt.augmented);
+    b.stages = std::move(tt.stages);
+    return b;
+  }
+  b.program = recipe.program;
+  for (int i = recipe.first_call; i <= recipe.last_call; ++i) {
+    b.stages.push_back(
+        ir::bind_call(b.program, steps.at(static_cast<std::size_t>(i)).call,
+                      str_cat("f", i, "_")));
+  }
+  return b;
+}
+
+/// Tune one recipe (at `time_tile` for an iterate block) under a strategy;
+/// returns the best candidate. Tuned configs keep the seed's time_tile.
+autotune::TuneResult tune_stages(const KernelRecipe& recipe, int time_tile,
                                  const gpumodel::DeviceSpec& dev,
                                  const gpumodel::ModelParams& params,
-                                 const Strategy& strategy, bool use_shmem,
+                                 const Strategy& strategy,
                                  std::vector<std::string>* hints,
                                  const std::string& scope_suffix = "") {
   telemetry::Span span("driver.tune_stages", "pipeline");
+  const BoundRecipe bound = bind_recipe(recipe, time_tile);
+  const ir::Program& prog = bound.program;
+  const bool use_shmem = recipe.use_shared_memory;
   std::vector<std::string> names;
-  for (const auto& s : stages) names.push_back(s.name);
+  for (const auto& s : bound.stages) names.push_back(s.name);
   const std::string label =
       str_cat(join(names, "+"), use_shmem ? "/shm" : "/gbl",
               scope_suffix.empty() ? "" : "/", scope_suffix);
@@ -77,16 +113,14 @@ autotune::TuneResult tune_stages(const ir::Program& prog,
   }
   // Analyze the stage list once; every candidate (and the baseline
   // profile below) is a configure() of this template.
-  const codegen::StageTemplate tmpl(
-      prog, stages,
-      BuildOptions{.use_shared_memory = use_shmem, .fuse_internal = true});
+  const codegen::StageTemplate tmpl(prog, bound.stages, bound.options);
   const autotune::PlanFactory factory = [&tmpl,
                                          &dev](const KernelConfig& cfg) {
     return codegen::configure(tmpl, cfg, dev);
   };
 
   KernelConfig seed =
-      codegen::config_from_pragma(prog, stages.front().pragma,
+      codegen::config_from_pragma(prog, bound.stages.front().pragma,
                                   static_cast<int>(prog.iterators.size()));
   if (!strategy.allow_streaming ||
       (!use_shmem && seed.tiling == TilingScheme::StreamSerial &&
@@ -170,69 +204,40 @@ ProgramResult optimize_iterative(const ir::Program& prog,
                                  const gpumodel::ModelParams& params,
                                  const Strategy& strategy) {
   ProgramResult result;
+  const KernelRecipe recipe{prog, 0, 0, strategy.use_shared_memory};
 
-  autotune::DeepTuneOptions dopts;
-  dopts.max_time_tile = strategy.allow_time_fusion ? strategy.max_time_tile : 1;
-  dopts.tune = strategy.tune;
-
-  // Restrict the deep tuner's plan space to the strategy.
-  // (The deep tuner seeds serial streaming; global-only strategies flip.)
-  autotune::DeepTuneResult deep;
-  {
-    // We re-implement the deep loop here so the strategy's BuildOptions
-    // apply (deep_tune's factory uses defaults).
-    bool past_cusp = false;
-    for (int x = 1; x <= dopts.max_time_tile; ++x) {
-      telemetry::Span span("driver.deep_tune", "pipeline");
-      span.arg("time_tile", Json(x));
-      const transform::TimeTiledKernel tt =
-          transform::time_tile_iterate(prog, iterate_step, x);
-      std::vector<std::string> hints;
-      autotune::DeepTuneEntry entry;
-      entry.time_tile = x;
-      try {
-        entry.tuned = tune_stages(tt.augmented, tt.stages, dev, params,
-                                  strategy, strategy.use_shared_memory,
-                                  &hints, str_cat("x", x));
-      } catch (const PlanError& e) {
-        // Resource constraints leave no feasible configuration at this
-        // fusion degree; deeper fusion cannot become feasible again.
-        record_dropped("deep_tune", str_cat("x", x), e);
-        break;
-      }
-      entry.time_s = entry.tuned.best.time_s;
-      entry.tflops = entry.tuned.best.eval.tflops();
+  // Tune and profile the (x x 1) version under the strategy's plan space
+  // and memory version.
+  const auto tune_tile = [&](int x) {
+    telemetry::Span span("driver.deep_tune", "pipeline");
+    span.arg("time_tile", Json(x));
+    autotune::DeepTuneEntry entry;
+    entry.time_tile = x;
+    try {
+      entry.tuned =
+          tune_stages(recipe, x, dev, params, strategy,
+                      x == 1 ? &result.hints : nullptr, str_cat("x", x));
+    } catch (const PlanError& e) {
+      record_dropped("deep_tune", str_cat("x", x), e);
+      throw;
+    }
+    entry.time_s = entry.tuned.best.time_s;
+    entry.tflops = entry.tuned.best.eval.tflops();
+    try {
+      KernelConfig cfg = entry.tuned.best.config;
+      cfg.time_tile = x;
+      entry.report = profile::profile_plan(kernel_plan(recipe, cfg, dev), dev,
+                                           params);
+    } catch (const robust::EvalError& e) {
       // Assume bandwidth-bound (keep fusing) if the profile itself fails
       // transiently; the per-step DP still sees the tuned timings.
-      bool still_bw = true;
-      try {
-        const BuildOptions opts{.use_shared_memory =
-                                    strategy.use_shared_memory,
-                                .fuse_internal = true};
-        const KernelPlan best_plan = codegen::build_plan(
-            tt.augmented, tt.stages, entry.tuned.best.config, dev, opts);
-        entry.report = profile::profile_plan(best_plan, dev, params);
-        still_bw = entry.report.bandwidth_bound_anywhere();
-      } catch (const robust::EvalError& e) {
-        record_dropped("deep_profile", str_cat("x", x), e);
-      }
-      deep.entries.push_back(std::move(entry));
-      if (x == 1) result.hints = hints;
-      if (!still_bw) {
-        if (past_cusp || dopts.max_time_tile == 1) break;
-        past_cusp = true;
-      }
+      record_dropped("deep_profile", str_cat("x", x), e);
+      entry.report.dram = profile::LevelVerdict::BandwidthBound;
     }
-    double best_per_step = std::numeric_limits<double>::infinity();
-    deep.tipping_point = 1;
-    for (const auto& e : deep.entries) {
-      const double per_step = e.time_s / e.time_tile;
-      if (per_step < best_per_step) {
-        best_per_step = per_step;
-        deep.tipping_point = e.time_tile;
-      }
-    }
-  }
+    return entry;
+  };
+  autotune::DeepTuneResult deep = autotune::deep_tune(
+      strategy.allow_time_fusion ? strategy.max_time_tile : 1, tune_tile);
 
   const int T = static_cast<int>(iterate_step.iterations);
   {
@@ -252,6 +257,7 @@ ProgramResult optimize_iterative(const ir::Program& prog,
     ARTEMIS_CHECK(entry != nullptr);
     KernelChoice kc;
     kc.name = str_cat("fused_x", x);
+    kc.recipe = recipe;
     kc.config = entry->tuned.best.config;
     kc.config.time_tile = x;  // record the fusion degree in the config
     kc.eval = entry->tuned.best.eval;
@@ -276,38 +282,36 @@ ProgramResult optimize_iterative(const ir::Program& prog,
   return result;
 }
 
-/// Spatial programs: per-call (or fused) kernels, profile-guided version
-/// selection, fission candidates under register pressure.
-ProgramResult optimize_spatial(const ir::Program& prog,
-                               const gpumodel::DeviceSpec& dev,
-                               const gpumodel::ModelParams& params,
-                               const Strategy& strategy, bool allow_fission);
+/// Make a tune's winner the kernel's config.
+void adopt(KernelChoice& kc, autotune::TuneResult tuned) {
+  kc.config = tuned.best.config;
+  kc.eval = tuned.best.eval;
+  kc.leaderboard = std::move(tuned.leaderboard);
+}
 
-/// Pick the better of the shared-memory and global versions of one stage
-/// list, following the Section IV-A guidelines.
-KernelChoice choose_version(const ir::Program& prog,
-                            const std::vector<ir::BoundStencil>& stages,
+/// Pick the better of the shared-memory and global versions of calls
+/// [first, last] of `prog`, following the Section IV-A guidelines.
+KernelChoice choose_version(const ir::Program& prog, int first, int last,
                             const gpumodel::DeviceSpec& dev,
                             const gpumodel::ModelParams& params,
                             const Strategy& strategy,
                             std::vector<std::string>* hints) {
   KernelChoice kc;
   std::vector<std::string> names;
-  for (const auto& s : stages) names.push_back(s.name);
+  for (int i = first; i <= last; ++i) {
+    names.push_back(prog.steps[static_cast<std::size_t>(i)].call.callee);
+  }
   kc.name = join(names, "+");
+  kc.recipe = {prog, first, last, strategy.use_shared_memory};
 
   if (!strategy.use_shared_memory) {
-    auto tuned =
-        tune_stages(prog, stages, dev, params, strategy, false, hints);
-    kc.config = tuned.best.config;
-    kc.eval = tuned.best.eval;
-    kc.leaderboard = std::move(tuned.leaderboard);
+    adopt(kc, tune_stages(kc.recipe, 1, dev, params, strategy, hints));
     return kc;
   }
 
   autotune::TuneResult shm;
   try {
-    shm = tune_stages(prog, stages, dev, params, strategy, true, hints);
+    shm = tune_stages(kc.recipe, 1, dev, params, strategy, hints);
   } catch (const PlanError& e) {
     // No feasible shared-memory mapping at any block shape (e.g. too many
     // staged arrays at this order): fall back to the global version.
@@ -316,23 +320,15 @@ KernelChoice choose_version(const ir::Program& prog,
       hints->push_back(
           "no feasible shared-memory mapping: tuning the global version");
     }
-    auto gbl =
-        tune_stages(prog, stages, dev, params, strategy, false, hints);
-    kc.config = gbl.best.config;
-    kc.eval = gbl.best.eval;
-    kc.leaderboard = std::move(gbl.leaderboard);
+    kc.recipe.use_shared_memory = false;
+    adopt(kc, tune_stages(kc.recipe, 1, dev, params, strategy, hints));
     return kc;
   }
-  kc.config = shm.best.config;
-  kc.eval = shm.best.eval;
-  kc.leaderboard = shm.leaderboard;
+  adopt(kc, std::move(shm));
 
   if (strategy.profile_guided) {
     try {
-      const BuildOptions opts{.use_shared_memory = true,
-                              .fuse_internal = true};
-      const KernelPlan plan =
-          codegen::build_plan(prog, stages, shm.best.config, dev, opts);
+      const KernelPlan plan = kernel_plan(kc.recipe, kc.config, dev);
       const auto report = profile::profile_plan(plan, dev, params);
       const auto h =
           profile::derive_hints(report, /*iterative=*/false, true);
@@ -342,12 +338,12 @@ KernelChoice choose_version(const ir::Program& prog,
       // winner is still bandwidth-bound at DRAM — or merely slower — the
       // global version is kept instead.
       if (h.prefer_global_version || report.bandwidth_bound_anywhere()) {
-        auto gbl =
-            tune_stages(prog, stages, dev, params, strategy, false, nullptr);
+        KernelRecipe global = kc.recipe;
+        global.use_shared_memory = false;
+        auto gbl = tune_stages(global, 1, dev, params, strategy, nullptr);
         if (gbl.best.time_s < kc.eval.time_s) {
-          kc.config = gbl.best.config;
-          kc.eval = gbl.best.eval;
-          kc.leaderboard = std::move(gbl.leaderboard);
+          kc.recipe.use_shared_memory = false;
+          adopt(kc, std::move(gbl));
           if (hints) {
             hints->push_back(
                 "tuned global-memory version outperformed the shared-memory "
@@ -370,36 +366,22 @@ ProgramResult optimize_spatial(const ir::Program& prog,
                                const Strategy& strategy, bool allow_fission) {
   ProgramResult result;
 
-  // Bind each call; groups are contiguous runs of the (topologically
-  // ordered) call chain.
-  std::vector<ir::BoundStencil> bound;
-  {
-    int idx = 0;
-    for (const auto& step : prog.steps) {
-      ARTEMIS_CHECK_MSG(step.kind == ir::Step::Kind::Call,
-                        "spatial path expects a flat call list");
-      bound.push_back(ir::bind_call(prog, step.call,
-                                    str_cat("f", idx++, "_")));
-    }
+  // Groups are contiguous runs of the (topologically ordered) call chain.
+  for (const auto& step : prog.steps) {
+    ARTEMIS_CHECK_MSG(step.kind == ir::Step::Kind::Call,
+                      "spatial path expects a flat call list");
   }
-  const int n = static_cast<int>(bound.size());
-
-  auto group_stages = [&](int i, int j) {
-    return std::vector<ir::BoundStencil>(bound.begin() + i,
-                                         bound.begin() + j + 1);
-  };
+  const int n = static_cast<int>(prog.steps.size());
 
   if (!strategy.allow_dag_fusion || n == 1) {
     for (int i = 0; i < n; ++i) {
-      result.kernels.push_back(choose_version(prog, group_stages(i, i), dev,
-                                              params, strategy,
-                                              &result.hints));
+      result.kernels.push_back(
+          choose_version(prog, i, i, dev, params, strategy, &result.hints));
     }
   } else if (!strategy.partition_dag) {
     // Maxfuse-only (STENCILGEN): one kernel for the whole chain.
-    result.kernels.push_back(choose_version(prog, group_stages(0, n - 1),
-                                            dev, params, strategy,
-                                            &result.hints));
+    result.kernels.push_back(choose_version(prog, 0, n - 1, dev, params,
+                                            strategy, &result.hints));
   } else {
     // Fusion-partition search (Section VI-B): tune every contiguous group
     // [i..j], then solve best[j] = min_i cost(i,j) + best[i-1]. The chain
@@ -414,7 +396,7 @@ ProgramResult optimize_spatial(const ir::Program& prog,
       for (int j = i; j < n; ++j) {
         try {
           cost[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
-              choose_version(prog, group_stages(i, j), dev, params, strategy,
+              choose_version(prog, i, j, dev, params, strategy,
                              i == 0 && j == 0 ? &result.hints : nullptr);
         } catch (const PlanError& e) {
           // No feasible version for this group in any memory space.
@@ -509,6 +491,16 @@ ProgramResult optimize_spatial(const ir::Program& prog,
 }
 
 }  // namespace
+
+KernelPlan kernel_plan(const KernelRecipe& recipe, const KernelConfig& config,
+                       const gpumodel::DeviceSpec& dev,
+                       ir::Program* bound_program) {
+  BoundRecipe bound = bind_recipe(recipe, config.time_tile);
+  KernelPlan plan = codegen::build_plan(bound.program, std::move(bound.stages),
+                                        config, dev, bound.options);
+  if (bound_program != nullptr) *bound_program = std::move(bound.program);
+  return plan;
+}
 
 Strategy artemis_strategy() { return Strategy{}; }
 

@@ -53,9 +53,35 @@ Strategy halide_auto_strategy();
 /// 3D-tiled ("global") or streaming ("global-stream").
 Strategy global_strategy(bool streaming);
 
+/// What builds one scheduled kernel. The driver tunes every kernel from
+/// its recipe, and kernel_plan() builds the kernel's plan from the recipe
+/// and its config, so what a schedule reports is what gets emitted,
+/// profiled and measured.
+struct KernelRecipe {
+  /// The program the kernel's stages bind against: the input program, or
+  /// the fission candidate that won.
+  ir::Program program;
+  /// The run of `program`'s steps the kernel fuses, inclusive. An iterate
+  /// block is one step; the config's time_tile sets how many of its
+  /// iterations the kernel fuses.
+  int first_call = 0, last_call = 0;
+  bool use_shared_memory = true;  ///< the memory version the tuner chose
+};
+
+/// Bind a recipe and build its plan under `config`. `bound_program`, when
+/// non-null, receives the program the plan binds against (for an iterate
+/// block, the time-tiled program with its synthesized arrays): allocate
+/// grids and emit CUDA from it. Throws PlanError when `config` is
+/// infeasible for the recipe.
+codegen::KernelPlan kernel_plan(const KernelRecipe& recipe,
+                                const codegen::KernelConfig& config,
+                                const gpumodel::DeviceSpec& dev,
+                                ir::Program* bound_program = nullptr);
+
 /// One kernel in the final schedule.
 struct KernelChoice {
   std::string name;
+  KernelRecipe recipe;
   codegen::KernelConfig config;
   gpumodel::KernelEval eval;
   int invocations = 1;

@@ -202,14 +202,6 @@ StmtGraph build_stmt_graph(const std::vector<Stmt>& stmts) {
   return g;
 }
 
-std::vector<int> StmtGraph::topo_order() const {
-  std::vector<int> order(succs.size());
-  for (std::size_t i = 0; i < succs.size(); ++i) {
-    order[i] = static_cast<int>(i);
-  }
-  return order;
-}
-
 CallGraph build_call_graph(const std::vector<BoundStencil>& calls) {
   const int n = static_cast<int>(calls.size());
   CallGraph g;

@@ -80,9 +80,6 @@ struct StmtGraph {
   std::vector<std::vector<int>> preds;
 
   int num_stmts() const { return static_cast<int>(succs.size()); }
-  /// Topological order; statements are already in program order, which is
-  /// a valid topological order for a legal stencil body.
-  std::vector<int> topo_order() const;
 };
 
 StmtGraph build_stmt_graph(const std::vector<Stmt>& stmts);

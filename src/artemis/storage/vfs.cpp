@@ -424,11 +424,6 @@ std::vector<VfsOp> MemVfs::trace() const {
   return trace_;
 }
 
-void MemVfs::clear_trace() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  trace_.clear();
-}
-
 void MemVfs::apply(const VfsOp& op) {
   const std::lock_guard<std::mutex> lock(mu_);
   switch (op.kind) {

@@ -204,7 +204,6 @@ class MemVfs : public Vfs {
 
   void set_record_trace(bool on) { record_ = on; }
   std::vector<VfsOp> trace() const;
-  void clear_trace();
 
   /// Replay one recorded mutation (never traced itself).
   void apply(const VfsOp& op);

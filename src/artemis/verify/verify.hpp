@@ -62,9 +62,6 @@ struct VerifyOptions {
   std::string corpus_dir;
   /// Stop after this many failures (0 = collect everything).
   int max_failures = 10;
-  /// Per-seed progress callback text sink (e.g. for --verify -v);
-  /// empty detail means the seed passed.
-  bool verbose = false;
 };
 
 /// One (minimized) property failure.

@@ -363,6 +363,65 @@ TEST_F(AutotuneTest, FusionScheduleSumsToT) {
   }
 }
 
+/// A tile tuner that tunes nothing: version x takes times[x - 1] seconds
+/// per invocation, is bandwidth-bound at DRAM below x = `cusp`, and is
+/// infeasible from x = `infeasible_at` on. Records each x it is asked for.
+TileTuner fake_tiles(std::vector<double> times, int cusp, int infeasible_at,
+                     std::vector<int>* asked) {
+  return [=](int x) {
+    asked->push_back(x);
+    if (x >= infeasible_at) throw PlanError("no feasible configuration");
+    DeepTuneEntry e;
+    e.time_tile = x;
+    e.time_s = times.at(static_cast<std::size_t>(x - 1));
+    if (x < cusp) e.report.dram = profile::LevelVerdict::BandwidthBound;
+    return e;
+  };
+}
+
+std::vector<int> tiles_of(const DeepTuneResult& r) {
+  std::vector<int> tiles;
+  for (const auto& e : r.entries) tiles.push_back(e.time_tile);
+  return tiles;
+}
+
+TEST_F(AutotuneTest, DeepTuneStopsOneVersionPastTheCusp) {
+  // Per step: 1.0, 0.8, 0.7, 0.75, 0.8. x = 3 is the first version that
+  // is not bandwidth-bound; x = 4 is recorded past it, x = 5 never tuned.
+  const std::vector<double> times = {1.0, 1.6, 2.1, 3.0, 4.0, 6.0};
+  std::vector<int> asked;
+  const DeepTuneResult r = deep_tune(6, fake_tiles(times, 3, 99, &asked));
+  EXPECT_EQ(asked, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(tiles_of(r), (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(r.entries[1].time_s, 1.6);
+  EXPECT_EQ(r.tipping_point, 3);
+
+  // A cusp at x = 1 still records x = 2; a loop that never reaches its
+  // cusp stops at max_time_tile.
+  asked.clear();
+  EXPECT_EQ(tiles_of(deep_tune(6, fake_tiles(times, 1, 99, &asked))),
+            (std::vector<int>{1, 2}));
+  asked.clear();
+  const DeepTuneResult capped = deep_tune(5, fake_tiles(times, 99, 99, &asked));
+  EXPECT_EQ(tiles_of(capped), (std::vector<int>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(capped.tipping_point, 3);
+}
+
+TEST_F(AutotuneTest, DeepTuneEndsAtTheFirstInfeasibleVersion) {
+  const std::vector<double> times = {1.0, 1.6, 2.1, 3.0};
+  std::vector<int> asked;
+  const DeepTuneResult r = deep_tune(4, fake_tiles(times, 99, 3, &asked));
+  EXPECT_EQ(asked, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(tiles_of(r), (std::vector<int>{1, 2}));
+  EXPECT_EQ(r.tipping_point, 2);
+
+  asked.clear();
+  const DeepTuneResult none = deep_tune(4, fake_tiles(times, 99, 1, &asked));
+  EXPECT_EQ(asked, (std::vector<int>{1}));
+  EXPECT_TRUE(none.entries.empty());
+  EXPECT_THROW(fusion_schedule(none, 4), Error);
+}
+
 TEST_F(AutotuneTest, DynamicProgramMatchesBruteForce) {
   // Craft explicit f(x) costs and check opt(T) against exhaustive search.
   DeepTuneResult r;

@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <regex>
+#include <sstream>
+#include <utility>
+#include <vector>
+
 #include "artemis/codegen/cuda_emitter.hpp"
 #include "artemis/codegen/plan_builder.hpp"
+#include "artemis/driver/driver.hpp"
 #include "artemis/dsl/parser.hpp"
 #include "artemis/stencils/benchmarks.hpp"
+#include "artemis/transform/fusion.hpp"
 #include "test_programs.hpp"
 
 namespace artemis::codegen {
@@ -133,6 +141,42 @@ TEST_F(EmitterTest, ConcurrentStreamingSweepsChunk) {
   EXPECT_NE(src.kernel.find("k_lo = blockIdx.z * 64"), std::string::npos);
   EXPECT_NE(src.kernel.find("for (int k = k_lo; k < k_hi; ++k)"),
             std::string::npos);
+}
+
+TEST_F(EmitterTest, KernelAndLauncherNamesAreIdentifiers) {
+  // A fused plan is named by its stages joined with '+'; the kernel and
+  // launcher it emits must still be C identifiers. Plans: diffuse's
+  // scheduled kernels (time-tiled) and the two-stage DAG fused.
+  std::vector<std::pair<ir::Program, KernelPlan>> plans;
+  std::ifstream in(ARTEMIS_EXAMPLES_DIR "/diffuse.dsl");
+  std::ostringstream source;
+  source << in.rdbuf();
+  const auto schedule =
+      driver::optimize_program(dsl::parse(source.str()), dev_);
+  ASSERT_EQ(schedule.kernels.size(), 2u);
+  for (const auto& k : schedule.kernels) {
+    ir::Program bound;
+    KernelPlan plan = driver::kernel_plan(k.recipe, k.config, dev_, &bound);
+    plans.emplace_back(std::move(bound), std::move(plan));
+  }
+  const auto dag = dsl::parse(artemis::testing::kDagDsl);
+  plans.emplace_back(dag, build_plan(dag, transform::bind_all_calls(dag),
+                                     KernelConfig{}, dev_));
+  ASSERT_EQ(plans.back().second.stages.size(), 2u);
+
+  const std::regex identifier("[A-Za-z_][A-Za-z0-9_]*");
+  for (const auto& [prog, plan] : plans) {
+    const std::string text = emit_cuda(prog, plan).full();
+    for (const char* pattern :
+         {R"(__global__ void (\S+)_kernel\()", R"(void launch_(\S+)\()",
+          R"(\s(\S+)_kernel<<<)"}) {
+      std::smatch m;
+      ASSERT_TRUE(std::regex_search(text, m, std::regex(pattern)))
+          << plan.name << ": " << pattern;
+      EXPECT_TRUE(std::regex_match(m[1].str(), identifier))
+          << plan.name << ": " << m[1];
+    }
+  }
 }
 
 TEST_F(EmitterTest, EmitsForEveryBenchmark) {

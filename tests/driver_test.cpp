@@ -12,6 +12,7 @@
 #include "artemis/dsl/parser.hpp"
 #include "artemis/stencils/benchmarks.hpp"
 #include "artemis/storage/vfs.hpp"
+#include "recipe_check.hpp"
 #include "test_programs.hpp"
 
 namespace artemis::driver {
@@ -158,6 +159,36 @@ TEST_F(DriverTest, AllBenchmarksRunUnderAllStrategies) {
       } catch (const Error&) {
         // Only STENCILGEN may reject (mixed dims).
         EXPECT_EQ(strat.name, "stencilgen") << spec.name;
+      }
+    }
+  }
+}
+
+TEST_F(DriverTest, RecipesRebuildTheTunedPlansUnderTheBaselines) {
+  // golden_plans_test checks ARTEMIS' own strategy; here every baseline
+  // on the 11 Table I stencils at paper extents. A global strategy's
+  // plans stage nothing in shared memory.
+  for (const auto& strat : {global_strategy(false), global_strategy(true),
+                            ppcg_strategy(), stencilgen_strategy()}) {
+    for (const auto& spec : stencils::paper_benchmarks()) {
+      const std::string context = spec.name + "/" + strat.name;
+      ProgramResult r;
+      try {
+        r = optimize_program(stencils::benchmark_program(spec.name), dev_,
+                             params_, strat);
+      } catch (const Error&) {
+        EXPECT_EQ(strat.name, "stencilgen") << context;
+        continue;
+      }
+      testing::expect_recipes_rebuild(r, dev_, params_, context);
+      if (strat.use_shared_memory) continue;
+      for (const auto& k : r.kernels) {
+        EXPECT_FALSE(k.recipe.use_shared_memory) << context;
+        for (const auto& [array, place] :
+             kernel_plan(k.recipe, k.config, dev_).placement) {
+          EXPECT_NE(place.space, ir::MemSpace::Shared)
+              << context << " kernel " << k.name << " array " << array;
+        }
       }
     }
   }

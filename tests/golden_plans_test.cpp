@@ -4,6 +4,11 @@
 // leaderboard entry recorded in tests/golden/paper_plans.txt — at jobs 1,
 // and at jobs 4, where pool workers share each tune's plan template.
 //
+// Each scheduled kernel's recipe must also rebuild the plan it was tuned
+// as: driver::kernel_plan evaluates bitwise to the kernel's eval. This
+// covers fission (hypterm, diffterm, rhs4sgcurv), the global version
+// (addsgd6) and the four iterative stencils.
+//
 // The file pins plans across commits: a change that moves any plan has to
 // update it on purpose. On a mismatch the test writes the lines it
 // produced to paper_plans.actual.txt in its working directory; diff that
@@ -17,8 +22,10 @@
 #include <string>
 
 #include "artemis/autotune/search.hpp"
+#include "artemis/common/str.hpp"
 #include "artemis/driver/context.hpp"
 #include "artemis/stencils/benchmarks.hpp"
+#include "recipe_check.hpp"
 
 #ifndef ARTEMIS_GOLDEN_DIR
 #error "build must define ARTEMIS_GOLDEN_DIR (see tests/CMakeLists.txt)"
@@ -59,7 +66,10 @@ std::string tune_paper_stencils(int jobs) {
   ArtemisContext ctx(opts);
   std::ostringstream os;
   for (const auto& b : stencils::paper_benchmarks()) {
-    append_lines(b.name, ctx.tune(b.dsl()), os);
+    const TuneOutcome out = ctx.tune(b.dsl());
+    testing::expect_recipes_rebuild(out.result, opts.device, opts.params,
+                                    str_cat(b.name, " at jobs ", jobs));
+    append_lines(b.name, out, os);
   }
   return os.str();
 }

@@ -342,9 +342,8 @@ TEST_F(ParallelTuningTest, ExhaustiveTuneIsJobsInvariant) {
 }
 
 TEST_F(ParallelTuningTest, DeepTuneIsJobsInvariant) {
-  // Parallel deep tuning shards the per-x loop; the reduction replays
-  // the serial stopping rule, so entries, cusp handling and the tipping
-  // point must match exactly.
+  // Each version's inner search runs at the given jobs; entries, cusp
+  // handling and the tipping point must match the serial run exactly.
   const auto prog = stencils::benchmark_program("7pt-smoother", 128);
 
   DeepTuneOptions serial_opts;

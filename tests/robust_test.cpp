@@ -5,9 +5,11 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "artemis/autotune/search.hpp"
 #include "artemis/codegen/plan_builder.hpp"
+#include "artemis/common/str.hpp"
 #include "artemis/driver/context.hpp"
 #include "artemis/robust/candidate_runner.hpp"
 #include "artemis/robust/errors.hpp"
@@ -357,9 +359,13 @@ TEST_F(RobustTuneTest, InfeasibleSpaceStillThrowsPlanError) {
 // ---- the whole pipeline ---------------------------------------------------
 
 /// examples/diffuse.dsl tuned through ArtemisContext with its journal in
-/// memory: the durable plan bytes and the journal the tune left.
+/// memory: the durable plan bytes, the schedule (the plan record holds
+/// kernel 0's config only, and diffuse schedules two kernels) and the
+/// journal the tune left.
 struct PipelineRun {
   std::string plan_bytes;
+  std::vector<std::string> kernels;  ///< name, invocations and config
+  std::vector<int> fusion_schedule;
   std::string journal;
 };
 
@@ -375,7 +381,13 @@ PipelineRun tune_diffuse(int jobs) {
   driver::TuneRequest req;
   req.journal_path = "diffuse.wal";
   const driver::TuneOutcome out = ctx.tune(source.str(), req);
-  return {out.plan_bytes, vfs.read(req.journal_path).value_or("")};
+  PipelineRun run{out.plan_bytes, {}, out.result.fusion_schedule,
+                  vfs.read(req.journal_path).value_or("")};
+  for (const auto& k : out.result.kernels) {
+    run.kernels.push_back(str_cat(k.name, " x", k.invocations, " ",
+                                  autotune::serialize_config(k.config)));
+  }
+  return run;
 }
 
 /// Journal records whose status column is `status`.
@@ -390,18 +402,25 @@ int journal_count(const std::string& journal, const std::string& status) {
 
 TEST_F(RobustTest, FaultInjectedPipelineKeepsTheCleanPlanAtAnyJobs) {
   // Retries and quarantine absorb 20% injected crashes and 5% injected
-  // timeouts: the published plan is byte-identical to a clean tune's, at
-  // jobs 1 and 4.
+  // timeouts: the published plan and the whole schedule are identical to
+  // a clean tune's, at jobs 1 and 4.
   const PipelineRun clean = tune_diffuse(1);
   ASSERT_FALSE(clean.plan_bytes.empty());
+  ASSERT_EQ(clean.kernels.size(), 2u);
   EXPECT_EQ(journal_count(clean.journal, "crash"), 0);
-  EXPECT_EQ(tune_diffuse(4).plan_bytes, clean.plan_bytes);
+  const auto expect_clean_schedule = [&clean](const PipelineRun& run,
+                                              const std::string& label) {
+    EXPECT_EQ(run.plan_bytes, clean.plan_bytes) << label;
+    EXPECT_EQ(run.kernels, clean.kernels) << label;
+    EXPECT_EQ(run.fusion_schedule, clean.fusion_schedule) << label;
+  };
+  expect_clean_schedule(tune_diffuse(4), "clean, jobs=4");
 
   install_fault_plan(
       parse_fault_spec("crash=0.2,timeout=0.05,seed=42,site=tuner.eval"));
   for (const int jobs : {1, 4}) {
     const PipelineRun faulty = tune_diffuse(jobs);
-    EXPECT_EQ(faulty.plan_bytes, clean.plan_bytes) << "jobs=" << jobs;
+    expect_clean_schedule(faulty, str_cat("faulty, jobs=", jobs));
     EXPECT_GE(journal_count(faulty.journal, "crash"), 1) << "jobs=" << jobs;
     EXPECT_GE(journal_count(faulty.journal, "timeout"), 1) << "jobs=" << jobs;
   }

@@ -30,7 +30,6 @@
 #include "artemis/autotune/search.hpp"
 #include "artemis/baselines/baselines.hpp"
 #include "artemis/codegen/cuda_emitter.hpp"
-#include "artemis/codegen/plan_builder.hpp"
 #include "artemis/common/parallel.hpp"
 #include "artemis/common/str.hpp"
 #include "artemis/driver/context.hpp"
@@ -49,7 +48,6 @@
 #include "artemis/telemetry/run_sinks.hpp"
 #include "artemis/telemetry/telemetry.hpp"
 #include "artemis/telemetry/trace_sink.hpp"
-#include "artemis/transform/fusion.hpp"
 #include "artemis/verify/verify.hpp"
 
 using namespace artemis;
@@ -114,69 +112,6 @@ int usage(const char* argv0) {
   return 2;
 }
 
-/// Rebuild the plan a kernel name + config selects (for --emit-cuda,
-/// --profile and --metrics; --metrics also rebuilds leaderboard runner-up
-/// configs, so the config is a parameter rather than the KernelChoice).
-/// When `plan_prog` is non-null it receives the program the plan's slots
-/// bind against — the time-tiled augmented program for iterative
-/// schedules (with its synthesized ping-pong arrays), the input program
-/// otherwise — which is what grids must be allocated from to execute the
-/// plan.
-codegen::KernelPlan rebuild(const ir::Program& prog, const std::string& name,
-                            const codegen::KernelConfig& config,
-                            const gpumodel::DeviceSpec& dev,
-                            ir::Program* plan_prog = nullptr) {
-  // Iterative schedules synthesize their stage lists through
-  // time_tile_iterate; spatial schedules bind the flat call list.
-  if (prog.steps.size() == 1 &&
-      prog.steps[0].kind == ir::Step::Kind::Iterate) {
-    const auto tt = transform::time_tile_iterate(prog, prog.steps[0],
-                                                 config.time_tile);
-    if (plan_prog != nullptr) *plan_prog = tt.augmented;
-    codegen::BuildOptions opts;
-    opts.use_shared_memory = true;
-    try {
-      return codegen::build_plan(tt.augmented, tt.stages, config, dev,
-                                 opts);
-    } catch (const PlanError&) {
-      opts.use_shared_memory = false;
-      return codegen::build_plan(tt.augmented, tt.stages, config, dev,
-                                 opts);
-    }
-  }
-  if (plan_prog != nullptr) *plan_prog = prog;
-  // Spatial schedules: kernels are contiguous groups of the call chain,
-  // named by the joined callee names ("blurx+blury"). Find the matching
-  // range and rebuild the fused plan.
-  std::vector<ir::BoundStencil> bound;
-  {
-    int idx = 0;
-    for (const auto& step : prog.steps) {
-      if (step.kind != ir::Step::Kind::Call) continue;
-      bound.push_back(
-          ir::bind_call(prog, step.call, str_cat("f", idx++, "_")));
-    }
-  }
-  const int n = static_cast<int>(bound.size());
-  for (int i = 0; i < n; ++i) {
-    std::string joined;
-    for (int j = i; j < n; ++j) {
-      joined += (j > i ? "+" : "") + bound[static_cast<std::size_t>(j)].name;
-      if (joined != name) continue;
-      std::vector<ir::BoundStencil> stages(
-          bound.begin() + i, bound.begin() + j + 1);
-      codegen::BuildOptions opts;
-      try {
-        return codegen::build_plan(prog, stages, config, dev, opts);
-      } catch (const PlanError&) {
-        opts.use_shared_memory = false;
-        return codegen::build_plan(prog, stages, config, dev, opts);
-      }
-    }
-  }
-  throw Error(str_cat("cannot rebuild plan for kernel '", name, "'"));
-}
-
 /// The --metrics measurement domain: a copy of the program with every
 /// size parameter clamped to [8, 64]. Counting-mode execution sweeps
 /// every point of every stage, so paper-size domains (320^3 x 16 steps)
@@ -194,15 +129,16 @@ ir::Program clamp_metrics_domain(const ir::Program& prog) {
 /// Measure one kernel of the chosen schedule on the clamped domain and
 /// confront it with the analytic model's prediction for the same plan.
 metrics::KernelMetricsReport measure_kernel(
-    const ir::Program& mprog, const driver::KernelChoice& k,
-    const gpumodel::DeviceSpec& dev, const gpumodel::ModelParams& params,
-    const sim::ExecOptions& base) {
+    const driver::KernelChoice& k, const gpumodel::DeviceSpec& dev,
+    const gpumodel::ModelParams& params, const sim::ExecOptions& base) {
   metrics::KernelMetricsReport rep;
   rep.kernel = k.name;
   rep.invocations = k.invocations;
 
+  driver::KernelRecipe recipe = k.recipe;
+  recipe.program = clamp_metrics_domain(recipe.program);
   ir::Program plan_prog;
-  const auto plan = rebuild(mprog, k.name, k.config, dev, &plan_prog);
+  const auto plan = driver::kernel_plan(recipe, k.config, dev, &plan_prog);
   sim::GridSet gs = sim::GridSet::from_program(plan_prog, 1);
   rep.measured = metrics::measure_plan(plan, gs, dev, base);
   rep.predicted = gpumodel::evaluate(plan, dev, params).counters;
@@ -218,7 +154,7 @@ metrics::KernelMetricsReport measure_kernel(
       cfg.time_tile = k.config.time_tile;
       try {
         ir::Program cprog;
-        const auto cplan = rebuild(mprog, k.name, cfg, dev, &cprog);
+        const auto cplan = driver::kernel_plan(recipe, cfg, dev, &cprog);
         const auto ev = gpumodel::evaluate(cplan, dev, params);
         if (!ev.valid) continue;
         sim::GridSet cgs = sim::GridSet::from_program(cprog, 1);
@@ -469,7 +405,6 @@ int main(int argc, char** argv) {
     treq.journal_path = journal_path;
     treq.resume = resume;
     const driver::TuneOutcome outcome = ctx.tune(source, treq);
-    const ir::Program& prog = outcome.compile.program;
     const driver::ProgramResult& r = outcome.result;
     sinks.set_result(r);
 
@@ -529,7 +464,9 @@ int main(int argc, char** argv) {
 
     if (profile || emit_cuda) {
       for (const auto& k : r.kernels) {
-        const auto plan = rebuild(prog, k.name, k.config, dev);
+        ir::Program plan_prog;
+        const auto plan = driver::kernel_plan(k.recipe, k.config, dev,
+                                              &plan_prog);
         if (profile) {
           const auto rep = profile::profile_plan(plan, dev, params);
           std::printf("\n[%s] %s\n", k.name.c_str(),
@@ -537,7 +474,7 @@ int main(int argc, char** argv) {
         }
         if (emit_cuda) {
           std::printf("\n// ==== %s ====\n%s", k.name.c_str(),
-                      codegen::emit_cuda(prog, plan).full().c_str());
+                      codegen::emit_cuda(plan_prog, plan).full().c_str());
         }
       }
     }
@@ -557,12 +494,11 @@ int main(int argc, char** argv) {
       // on the clamped domain, replay its line stream through the L2
       // cache simulation, and confront the measurements with the
       // analytic model (docs/OBSERVABILITY.md).
-      const ir::Program mprog = clamp_metrics_domain(prog);
       std::vector<metrics::KernelMetricsReport> kernel_reports;
       std::printf("\nmetrics (domain clamped to [8, 64] per axis):\n");
       for (const auto& k : r.kernels) {
         try {
-          auto rep = measure_kernel(mprog, k, dev, params, {});
+          auto rep = measure_kernel(k, dev, params, {});
           std::printf("%s", metrics::comparison_table(rep).c_str());
           kernel_reports.push_back(std::move(rep));
         } catch (const Error& e) {
