@@ -1,5 +1,6 @@
 #include "artemis/common/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
@@ -240,16 +241,17 @@ void TaskPool::for_each(std::int64_t n,
   if (job.error) std::rethrow_exception(job.error);
 }
 
-void parallel_for(std::int64_t n,
-                  const std::function<void(std::int64_t)>& fn) {
-  if (n <= 0) return;
-  const int workers = hardware_jobs();
-  if (n < 4 || workers < 2 || TaskPool::inside_worker()) {
+int parallel_for(std::int64_t n, const std::function<void(std::int64_t)>& fn,
+                 int jobs) {
+  const int workers = static_cast<int>(
+      std::min<std::int64_t>(jobs > 0 ? jobs : default_jobs(), n));
+  if (workers < 2 || TaskPool::inside_worker()) {
     for (std::int64_t i = 0; i < n; ++i) fn(i);
-    return;
+    return 1;
   }
   TaskPool pool(workers);
   pool.for_each(n, fn);
+  return workers;
 }
 
 }  // namespace artemis

@@ -8,8 +8,9 @@ namespace artemis {
 
 /// --- process-wide parallelism default ---------------------------------------
 ///
-/// The tuner's `--jobs` knob. 0 means "resolve to hardware concurrency";
-/// callers that want the historical serial path pass 1 explicitly.
+/// The `--jobs` knob: the tuner's shards and the simulator's sweeps
+/// (parallel_for with jobs 0) size their pools from it. 0 means "resolve
+/// to hardware concurrency"; callers that want the serial path pass 1.
 
 void set_default_jobs(int jobs);
 /// The resolved default: always >= 1.
@@ -63,11 +64,13 @@ class TaskPool {
   int parallelism_ = 1;
 };
 
-/// Run fn(i) for i in [0, n) across a transient pool sized to the
-/// hardware. Used by the functional executor to process independent
-/// thread blocks concurrently (blocks write disjoint output tiles, so no
-/// synchronization is needed beyond the join). Falls back to serial
-/// execution for small n.
-void parallel_for(std::int64_t n, const std::function<void(std::int64_t)>& fn);
+/// Run fn(i) for i in [0, n) across a transient pool of `jobs` workers
+/// (0 = default_jobs()), clamped to n. Runs serially below 2 workers or
+/// inside a pool worker. Returns the worker count that ran. The
+/// simulator's block sweep and reference slabs both size their threads
+/// here; their tasks write disjoint cells, so the join is the only
+/// synchronization.
+int parallel_for(std::int64_t n, const std::function<void(std::int64_t)>& fn,
+                 int jobs = 0);
 
 }  // namespace artemis

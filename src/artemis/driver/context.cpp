@@ -185,9 +185,7 @@ RunOutcome ArtemisContext::run(const std::string& source) {
     }
     const auto plan = codegen::build_plan(prog, {step.stencil}, cfg,
                                           opts_.device, opts);
-    sim::ExecOptions eo;
-    eo.engine = opts_.engine;
-    sim::execute_plan(plan, tiled, eo);
+    sim::execute_plan(plan, tiled);
   }
   for (const auto& name : prog.copyout) {
     RunCheck check;

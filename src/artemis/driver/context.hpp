@@ -9,7 +9,6 @@
 #include "artemis/driver/driver.hpp"
 #include "artemis/gpumodel/device.hpp"
 #include "artemis/robust/journal.hpp"
-#include "artemis/sim/executor.hpp"
 #include "artemis/storage/plan_store.hpp"
 #include "artemis/storage/vfs.hpp"
 
@@ -31,9 +30,6 @@ struct ContextOptions {
   storage::Vfs* vfs = nullptr;
   /// Root of a durable content-addressed plan store; "" = none.
   std::string store_root;
-  /// Simulator engine run() executes plans with (artemisc --engine).
-  /// Every engine produces bit-identical grids in its default mode.
-  sim::SimEngine engine = sim::SimEngine::Bytecode;
 };
 
 /// Resolve a device-family name ("k40", "p100", "v100", "a100", "h100")

@@ -163,94 +163,4 @@ StencilInfo analyze(const Program& prog, const BoundStencil& bound) {
   return info;
 }
 
-StmtGraph build_stmt_graph(const std::vector<Stmt>& stmts) {
-  const int n = static_cast<int>(stmts.size());
-  StmtGraph g;
-  g.succs.resize(static_cast<std::size_t>(n));
-  g.preds.resize(static_cast<std::size_t>(n));
-
-  // For every read in statement j, find the latest earlier statement i that
-  // wrote the same name (local temp or array): RAW edge i -> j. Accumulation
-  // statements also read their own LHS.
-  auto add_edge = [&](int i, int j) {
-    auto& s = g.succs[static_cast<std::size_t>(i)];
-    if (std::find(s.begin(), s.end(), j) == s.end()) {
-      s.push_back(j);
-      g.preds[static_cast<std::size_t>(j)].push_back(i);
-    }
-  };
-
-  for (int j = 0; j < n; ++j) {
-    std::set<std::string> reads;
-    visit(*stmts[static_cast<std::size_t>(j)].rhs, [&](const Expr& e) {
-      if (e.kind == ExprKind::ScalarRef || e.kind == ExprKind::ArrayRef) {
-        reads.insert(e.name);
-      }
-    });
-    if (stmts[static_cast<std::size_t>(j)].accumulate) {
-      reads.insert(stmts[static_cast<std::size_t>(j)].lhs_name);
-    }
-    for (const auto& name : reads) {
-      for (int i = j - 1; i >= 0; --i) {
-        if (stmts[static_cast<std::size_t>(i)].lhs_name == name) {
-          add_edge(i, j);
-          break;
-        }
-      }
-    }
-  }
-  return g;
-}
-
-CallGraph build_call_graph(const std::vector<BoundStencil>& calls) {
-  const int n = static_cast<int>(calls.size());
-  CallGraph g;
-  g.succs.resize(static_cast<std::size_t>(n));
-  g.preds.resize(static_cast<std::size_t>(n));
-
-  auto writes_of = [](const BoundStencil& b) {
-    std::set<std::string> w;
-    for (const auto& st : b.stmts) {
-      if (!st.declares_local) w.insert(st.lhs_name);
-    }
-    return w;
-  };
-  auto reads_of = [](const BoundStencil& b) {
-    std::set<std::string> r;
-    for (const auto& st : b.stmts) {
-      visit(*st.rhs, [&](const Expr& e) {
-        if (e.kind == ExprKind::ArrayRef) r.insert(e.name);
-      });
-    }
-    return r;
-  };
-
-  std::vector<std::set<std::string>> writes;
-  std::vector<std::set<std::string>> reads;
-  writes.reserve(calls.size());
-  reads.reserve(calls.size());
-  for (const auto& c : calls) {
-    writes.push_back(writes_of(c));
-    reads.push_back(reads_of(c));
-  }
-
-  for (int j = 0; j < n; ++j) {
-    for (int i = 0; i < j; ++i) {
-      bool dep = false;
-      for (const auto& w : writes[static_cast<std::size_t>(i)]) {
-        if (reads[static_cast<std::size_t>(j)].count(w) ||
-            writes[static_cast<std::size_t>(j)].count(w)) {
-          dep = true;
-          break;
-        }
-      }
-      if (dep) {
-        g.succs[static_cast<std::size_t>(i)].push_back(j);
-        g.preds[static_cast<std::size_t>(j)].push_back(i);
-      }
-    }
-  }
-  return g;
-}
-
 }  // namespace artemis::ir

@@ -72,25 +72,4 @@ struct StencilInfo {
 /// Analyze a bound stencil against its program (for array dimensionality).
 StencilInfo analyze(const Program& prog, const BoundStencil& bound);
 
-/// Statement-level dependence graph within one stencil (used by
-/// decomposition, retiming and fission). edges[i] lists statements that
-/// depend on statement i (RAW through local temps or arrays).
-struct StmtGraph {
-  std::vector<std::vector<int>> succs;
-  std::vector<std::vector<int>> preds;
-
-  int num_stmts() const { return static_cast<int>(succs.size()); }
-};
-
-StmtGraph build_stmt_graph(const std::vector<Stmt>& stmts);
-
-/// Call-level producer/consumer DAG over a sequence of bound stencils:
-/// edge a->b when b reads an array a writes. Used by fusion.
-struct CallGraph {
-  std::vector<std::vector<int>> succs;
-  std::vector<std::vector<int>> preds;
-};
-
-CallGraph build_call_graph(const std::vector<BoundStencil>& calls);
-
 }  // namespace artemis::ir

@@ -27,11 +27,10 @@ double time_without_level(const gpumodel::KernelEval& ev, Level level) {
   return std::max(t_mem, ev.t_compute);
 }
 
-LevelVerdict classify(double oi, double balance, double margin_lo,
-                      double margin_hi, bool has_traffic) {
+LevelVerdict classify(double oi, double balance, bool has_traffic) {
   if (!has_traffic) return LevelVerdict::NoTraffic;
-  if (oi < margin_lo * balance) return LevelVerdict::BandwidthBound;
-  if (oi >= margin_hi * balance) return LevelVerdict::ComputeBound;
+  if (oi < kBandwidthMargin * balance) return LevelVerdict::BandwidthBound;
+  if (oi >= kComputeMargin * balance) return LevelVerdict::ComputeBound;
   return LevelVerdict::Inconclusive;
 }
 
@@ -58,8 +57,7 @@ const char* level_verdict_name(LevelVerdict v) {
 
 ProfileReport profile_plan(const codegen::KernelPlan& plan,
                            const gpumodel::DeviceSpec& dev,
-                           const gpumodel::ModelParams& params,
-                           const ProfileOptions& opts) {
+                           const gpumodel::ModelParams& params) {
   const telemetry::Span span("profile.plan", "profile");
   robust::fault_point("profile.plan", plan.name);
   ProfileReport rep;
@@ -79,19 +77,16 @@ ProfileReport profile_plan(const codegen::KernelPlan& plan,
     return rep;
   }
 
-  rep.dram = classify(rep.oi_dram, rep.balance_dram, opts.bandwidth_margin,
-                      opts.compute_margin, c.dram_bytes() > 0);
-  rep.tex = classify(rep.oi_tex, rep.balance_tex, opts.bandwidth_margin,
-                     opts.compute_margin, c.tex_bytes > 0);
-  rep.shm = classify(rep.oi_shm, rep.balance_shm, opts.bandwidth_margin,
-                     opts.compute_margin, c.shm_bytes > 0);
+  rep.dram = classify(rep.oi_dram, rep.balance_dram, c.dram_bytes() > 0);
+  rep.tex = classify(rep.oi_tex, rep.balance_tex, c.tex_bytes > 0);
+  rep.shm = classify(rep.oi_shm, rep.balance_shm, c.shm_bytes > 0);
 
   // Code differencing for near-ridge levels.
   auto difference = [&](Level level, LevelVerdict& verdict) {
     if (verdict != LevelVerdict::Inconclusive) return;
     const double t0 = rep.eval.time_s;
     const double t1 = time_without_level(rep.eval, level);
-    verdict = (t0 - t1) / t0 > opts.differencing_threshold
+    verdict = (t0 - t1) / t0 > kDifferencingThreshold
                   ? LevelVerdict::BandwidthBound
                   : LevelVerdict::ComputeBound;
     rep.differenced.push_back(level);

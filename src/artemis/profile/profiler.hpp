@@ -55,17 +55,14 @@ struct ProfileReport {
   std::string summary() const;
 };
 
-/// Profiler tunables.
-struct ProfileOptions {
-  /// OI below `bandwidth_margin * balance` is clearly bandwidth-bound;
-  /// OI at or above `compute_margin * balance` clearly compute-bound;
-  /// between the two the profiler falls back to code differencing.
-  double bandwidth_margin = 0.7;
-  double compute_margin = 1.0;
-  /// Code differencing declares bandwidth-bound when eliminating the
-  /// level's traffic improves modelled time by more than this fraction.
-  double differencing_threshold = 0.08;
-};
+/// OI below `kBandwidthMargin * balance` is clearly bandwidth-bound; OI
+/// at or above `kComputeMargin * balance` clearly compute-bound; between
+/// the two the profiler falls back to code differencing.
+inline constexpr double kBandwidthMargin = 0.7;
+inline constexpr double kComputeMargin = 1.0;
+/// Code differencing declares bandwidth-bound when eliminating the
+/// level's traffic improves modelled time by more than this fraction.
+inline constexpr double kDifferencingThreshold = 0.08;
 
 /// Profile one kernel plan: evaluate it on the device model (the nvprof
 /// stand-in), compute per-level operational intensity, classify each level
@@ -74,8 +71,7 @@ struct ProfileOptions {
 /// like Listing 3, and compare).
 ProfileReport profile_plan(const codegen::KernelPlan& plan,
                            const gpumodel::DeviceSpec& dev,
-                           const gpumodel::ModelParams& params = {},
-                           const ProfileOptions& opts = {});
+                           const gpumodel::ModelParams& params = {});
 
 /// Actionable guidance derived from a report (the guidelines of Section
 /// IV-A). `iterative` marks time-iterated stencils; `uses_shmem` marks

@@ -161,8 +161,7 @@ Json ArtemisService::do_compile(const Request& req) {
 }
 
 Json ArtemisService::tune_result(const storage::PlanRecord& rec,
-                                 const std::string& plan_bytes, bool cached,
-                                 bool /*coalesced*/) {
+                                 const std::string& plan_bytes, bool cached) {
   Json result = Json::object();
   result.set("plan_key", Json(rec.key));
   result.set("config", Json(rec.config));
@@ -197,7 +196,7 @@ Json ArtemisService::do_tune(const Request& req) {
     return make_response(
         req.id,
         tune_result(*hit, storage::encode_plan_record(*hit),
-                    /*cached=*/true, /*coalesced=*/false));
+                    /*cached=*/true));
   }
 
   // Miss: join an identical in-flight tune, or become the evaluator.
@@ -264,7 +263,7 @@ Json ArtemisService::do_tune(const Request& req) {
     }
   }
   Json result = tune_result(outcome.record, outcome.plan_bytes,
-                            outcome.served_from_store, false);
+                            outcome.served_from_store);
   finish(true, result, "");
   return make_response(req.id, std::move(result));
 }

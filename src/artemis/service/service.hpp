@@ -95,8 +95,7 @@ class ArtemisService {
 
   /// Tune result payload from a durable record (store hit or fresh).
   static Json tune_result(const storage::PlanRecord& rec,
-                          const std::string& plan_bytes, bool cached,
-                          bool coalesced);
+                          const std::string& plan_bytes, bool cached);
 
   /// The `source` param, or a bad_request error via exception.
   static std::string require_source(const Request& req);

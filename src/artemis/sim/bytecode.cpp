@@ -651,4 +651,35 @@ bool needs_snapshot(const ir::ArrayAccessInfo& ai, int dims, bool recompute) {
   return false;
 }
 
+GridBinding::GridBinding(const ir::StencilInfo& info, GridSet& gs, int dims,
+                         bool recompute,
+                         const std::vector<std::string>& no_snapshot) {
+  for (const auto& [name, ai] : info.arrays) {
+    arrays.add(name);
+    if (std::find(no_snapshot.begin(), no_snapshot.end(), name) ==
+            no_snapshot.end() &&
+        needs_snapshot(ai, dims, recompute)) {
+      snapshots.emplace(name, gs.grid(name));
+    }
+  }
+  for (const auto& name : info.scalars_read) {
+    scalars.add(name);
+    scalar_vals.push_back(gs.scalar(name));
+  }
+  views.resize(static_cast<std::size_t>(arrays.size()));
+  for (int slot = 0; slot < arrays.size(); ++slot) {
+    const std::string& name = arrays.name(slot);
+    ArrayView& v = views[static_cast<std::size_t>(slot)];
+    v.name = &name;
+    Grid3D& g = gs.grid(name);
+    const Extents e = g.extents();
+    v.ez = v.wz = e.z;
+    v.ey = v.wy = e.y;
+    v.ex = v.wx = e.x;
+    v.write = g.data();
+    const auto snap = snapshots.find(name);
+    v.read = snap != snapshots.end() ? snap->second.data() : g.data();
+  }
+}
+
 }  // namespace artemis::sim

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "artemis/ir/analysis.hpp"
+#include "artemis/sim/gridset.hpp"
 
 namespace artemis::sim {
 
@@ -281,5 +282,26 @@ class RimRunner {
 /// identical because writes commit only after the owning point's reads
 /// completed.
 bool needs_snapshot(const ir::ArrayAccessInfo& ai, int dims, bool recompute);
+
+/// The grid binding of one kernel-style run, built once per call by both
+/// run_stencil_reference and execute_plan: the slot tables a statement
+/// list compiles against (arrays in `info.arrays` order), the scalar
+/// values, a snapshot of every array needs_snapshot selects except those
+/// in `no_snapshot` (a fused plan's block-local internals), and one
+/// full-grid ArrayView per array slot that reads from the snapshot when
+/// there is one. The views point into this object's slot table and
+/// snapshots, so a binding is built in place and never copied.
+struct GridBinding {
+  GridBinding(const ir::StencilInfo& info, GridSet& gs, int dims,
+              bool recompute, const std::vector<std::string>& no_snapshot);
+  GridBinding(const GridBinding&) = delete;
+  GridBinding& operator=(const GridBinding&) = delete;
+
+  SlotMap arrays;
+  SlotMap scalars;
+  std::vector<double> scalar_vals;
+  std::map<std::string, Grid3D> snapshots;
+  std::vector<ArrayView> views;  ///< one per array slot
+};
 
 }  // namespace artemis::sim

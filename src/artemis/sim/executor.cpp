@@ -1,16 +1,9 @@
 #include "artemis/sim/executor.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <memory>
-#include <mutex>
-#include <set>
 
 #include "artemis/common/check.hpp"
-#include "artemis/common/hash.hpp"
 #include "artemis/common/parallel.hpp"
-#include "artemis/common/str.hpp"
-#include "artemis/ir/analysis.hpp"
 #include "artemis/robust/fault_injection.hpp"
 #include "artemis/sim/native/native.hpp"
 #include "artemis/telemetry/telemetry.hpp"
@@ -27,13 +20,6 @@ const char* engine_name(SimEngine engine) {
   return "bytecode";
 }
 
-SimEngine engine_by_name(const std::string& name) {
-  if (name == "bytecode") return SimEngine::Bytecode;
-  if (name == "native") return SimEngine::Native;
-  throw Error(str_cat("unknown sim engine '", name,
-                      "' (expected bytecode or native)"));
-}
-
 namespace {
 
 using codegen::KernelPlan;
@@ -41,113 +27,6 @@ using codegen::TilingScheme;
 
 std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
   return (a + b - 1) / b;
-}
-
-// --- stencil compilation dedup ---------------------------------------------
-//
-// Identical stages recur constantly: every block of every time step of a
-// tuning evaluation compiles the same (plan, stage) statement list, and
-// distinct plans over one program share stages verbatim. Content-hash the
-// compilation inputs — the statement list plus the slot tables it is
-// resolved against (slot numbering is plan-dependent) — and share one
-// immutable CompiledStencil per key.
-
-void hash_expr(ContentHasher& h, const ir::Expr& e) {
-  const auto tag = static_cast<std::uint8_t>(e.kind);
-  h.update(&tag, sizeof tag);
-  const auto str = [&h](const std::string& s) {
-    const auto n = static_cast<std::uint32_t>(s.size());
-    h.update(&n, sizeof n);
-    h.update(s);
-  };
-  switch (e.kind) {
-    case ir::ExprKind::Number: {
-      std::uint64_t bits;
-      std::memcpy(&bits, &e.number, sizeof bits);
-      h.update(&bits, sizeof bits);
-      break;
-    }
-    case ir::ExprKind::ScalarRef:
-      str(e.name);
-      break;
-    case ir::ExprKind::ArrayRef: {
-      str(e.name);
-      const auto n = static_cast<std::uint32_t>(e.indices.size());
-      h.update(&n, sizeof n);
-      for (const auto& ix : e.indices) {
-        h.update(&ix.iter, sizeof ix.iter);
-        h.update(&ix.offset, sizeof ix.offset);
-      }
-      break;
-    }
-    case ir::ExprKind::Binary: {
-      const auto b = static_cast<std::uint8_t>(e.bop);
-      h.update(&b, sizeof b);
-      break;
-    }
-    case ir::ExprKind::Call:
-      str(e.name);
-      break;
-    case ir::ExprKind::Unary:
-      break;
-  }
-  const auto nargs = static_cast<std::uint32_t>(e.args.size());
-  h.update(&nargs, sizeof nargs);
-  for (const auto& a : e.args) hash_expr(h, *a);
-}
-
-std::string stencil_key(const std::vector<ir::Stmt>& stmts, int dims,
-                        const SlotMap& arrays, const SlotMap& scalars) {
-  ContentHasher h;
-  const auto str = [&h](const std::string& s) {
-    const auto n = static_cast<std::uint32_t>(s.size());
-    h.update(&n, sizeof n);
-    h.update(s);
-  };
-  const auto i32 = [&h](std::int32_t v) { h.update(&v, sizeof v); };
-  i32(dims);
-  i32(arrays.size());
-  for (int s = 0; s < arrays.size(); ++s) str(arrays.name(s));
-  i32(scalars.size());
-  for (int s = 0; s < scalars.size(); ++s) str(scalars.name(s));
-  i32(static_cast<std::int32_t>(stmts.size()));
-  for (const auto& st : stmts) {
-    const std::uint8_t flags = (st.declares_local ? 1 : 0) |
-                               (st.accumulate ? 2 : 0);
-    h.update(&flags, sizeof flags);
-    str(st.lhs_name);
-    i32(static_cast<std::int32_t>(st.lhs_indices.size()));
-    for (const auto& ix : st.lhs_indices) {
-      h.update(&ix.iter, sizeof ix.iter);
-      h.update(&ix.offset, sizeof ix.offset);
-    }
-    hash_expr(h, *st.rhs);
-  }
-  return h.hex_digest();
-}
-
-std::shared_ptr<const CompiledStencil> compile_stmts_cached(
-    const std::vector<ir::Stmt>& stmts, int dims, const SlotMap& arrays,
-    const SlotMap& scalars) {
-  static std::mutex mu;
-  static std::map<std::string, std::shared_ptr<const CompiledStencil>> cache;
-  constexpr std::size_t kMaxEntries = 1024;  // runaway-program backstop
-
-  const std::string key = stencil_key(stmts, dims, arrays, scalars);
-  {
-    const std::lock_guard<std::mutex> lk(mu);
-    if (const auto it = cache.find(key); it != cache.end()) {
-      telemetry::counter_add("sim.compile_hits");
-      return it->second;
-    }
-  }
-  // Compile outside the lock; a throwing compilation caches nothing.
-  auto cs = std::make_shared<const CompiledStencil>(
-      compile_stmts(stmts, dims, arrays, scalars));
-  const std::lock_guard<std::mutex> lk(mu);
-  telemetry::counter_add("sim.compile_misses");
-  if (cache.size() >= kMaxEntries) cache.clear();
-  return cache.try_emplace(key, std::move(cs)).first->second;
 }
 
 /// A block-local scratch buffer standing in for the shared-memory (or
@@ -224,30 +103,23 @@ ExecCounters execute_plan(const KernelPlan& plan, GridSet& gs,
     }
   }
 
-  // --- arrays whose reads could observe another point's write: snapshot ----
-  const std::set<std::string> internals(plan.internal_arrays.begin(),
-                                        plan.internal_arrays.end());
-  std::map<std::string, Grid3D> snapshots;
-  for (const auto& [name, ai] : plan.info.arrays) {
-    if (internals.count(name)) continue;
-    if (needs_snapshot(ai, dims, recompute)) snapshots.emplace(name, gs.grid(name));
-  }
-
-  // --- slot resolution: names bind once per plan, not once per point ------
-  SlotMap arrays;
-  for (const auto& [name, ai] : plan.info.arrays) arrays.add(name);
-  SlotMap scalar_slots;
-  std::vector<double> scalar_vals;
-  for (const auto& name : plan.info.scalars_read) {
-    scalar_slots.add(name);
-    scalar_vals.push_back(gs.scalar(name));
-  }
-
-  std::vector<std::shared_ptr<const CompiledStencil>> compiled;
+  // --- binding: snapshots, slot tables and full-grid views, once per call --
+  // Internal arrays live in block-local scratch and are never snapshotted.
+  GridBinding bind(plan.info, gs, dims, recompute, plan.internal_arrays);
+  std::vector<CompiledStencil> compiled;
   compiled.reserve(plan.stages.size());
   for (const auto& stage : plan.stages) {
     compiled.push_back(
-        compile_stmts_cached(stage.stmts, dims, arrays, scalar_slots));
+        compile_stmts(stage.stmts, dims, bind.arrays, bind.scalars));
+  }
+
+  // Internal arrays, resolved once in plan.internal_arrays order: each
+  // block patches its scratch windows into these view slots.
+  std::vector<std::size_t> internal_slots;
+  for (const auto& name : plan.internal_arrays) {
+    const int slot = bind.arrays.slot(name);
+    ARTEMIS_CHECK(slot >= 0);
+    internal_slots.push_back(static_cast<std::size_t>(slot));
   }
 
   // Native engine: lower each compiled stage once per plan execution
@@ -260,37 +132,14 @@ ExecCounters execute_plan(const KernelPlan& plan, GridSet& gs,
                                    : native::Tier::Scalar;
   if (native) {
     span.arg("native_tier", Json(native::tier_name(tier)));
-    std::vector<std::uint8_t> is_scratch(
-        static_cast<std::size_t>(arrays.size()), 0);
-    for (const auto& name : plan.internal_arrays) {
-      is_scratch[static_cast<std::size_t>(arrays.slot(name))] = 1;
-    }
+    std::vector<std::uint8_t> is_scratch(bind.views.size(), 0);
+    for (const std::size_t slot : internal_slots) is_scratch[slot] = 1;
     lowered.reserve(compiled.size());
     for (const auto& cs : compiled) {
-      lowered.push_back(native::lower_stencil(*cs, is_scratch));
+      lowered.push_back(native::lower_stencil(cs, is_scratch));
       telemetry::counter_add(lowered.back().ok ? "sim.native_stages"
                                                : "sim.native_fallbacks");
     }
-  }
-
-  // External arrays look the same from every block; internal slots are
-  // patched per block with that block's scratch window.
-  std::vector<ArrayView> base_views(static_cast<std::size_t>(arrays.size()));
-  for (int slot = 0; slot < arrays.size(); ++slot) {
-    const std::string& name = arrays.name(slot);
-    ArrayView& v = base_views[static_cast<std::size_t>(slot)];
-    v.name = &arrays.name(slot);
-    Grid3D& g = gs.grid(name);
-    const Extents e = g.extents();
-    v.ez = e.z;
-    v.ey = e.y;
-    v.ex = e.x;
-    v.wz = e.z;
-    v.wy = e.y;
-    v.wx = e.x;
-    v.write = g.data();
-    const auto snap = snapshots.find(name);
-    v.read = snap != snapshots.end() ? snap->second.data() : g.data();
   }
 
   // Counting mode: lay the arrays out in one flat, disjoint, line-aligned
@@ -299,7 +148,7 @@ ExecCounters execute_plan(const KernelPlan& plan, GridSet& gs,
   // never recorded, but materialized write-backs target the global copy.
   if (trace != nullptr) {
     std::uint64_t next_base = 0;
-    for (auto& v : base_views) {
+    for (auto& v : bind.views) {
       const std::uint64_t bytes =
           static_cast<std::uint64_t>(v.wz * v.wy * v.wx) * sizeof(double);
       v.elem_base = next_base;
@@ -336,30 +185,29 @@ ExecCounters execute_plan(const KernelPlan& plan, GridSet& gs,
     }
   };
 
+  // Every internal array's scratch covers the block's tile expanded by
+  // the total plan halo (a superset of any stage's requirement), with no
+  // halo along a serial-streaming sweep axis.
+  std::array<std::int64_t, 3> halo = {0, 0, 0};  // x, y, z
+  for (int a = 0; a < dims; ++a) {
+    const auto idx = static_cast<std::size_t>(a);
+    if (plan.config.tiling != TilingScheme::StreamSerial || a != sweep_axis) {
+      halo[idx] = plan.radius[idx];
+    }
+  }
   const auto make_scratch = [&](const std::array<std::int64_t, 3>& own_lo,
                                 const std::array<std::int64_t, 3>& own_hi) {
-    // Tile expanded by the total plan halo (a superset of any stage's
-    // requirement).
-    std::map<std::string, Scratch> scratch;
-    for (const auto& name : plan.internal_arrays) {
-      Scratch s;
-      std::array<std::int64_t, 3> ext = {1, 1, 1};
-      for (int a = 0; a < dims; ++a) {
-        const auto idx = static_cast<std::size_t>(a);
-        const std::int64_t h =
-            (plan.config.tiling == TilingScheme::StreamSerial &&
-             a == sweep_axis)
-                ? 0
-                : plan.radius[idx];
-        s.lo[2 - a] = own_lo[idx] - h;  // Scratch::lo is (z,y,x)
-        ext[idx] = (own_hi[idx] - own_lo[idx]) + 2 * h;
-      }
-      s.ext = {ext[2], ext[1], ext[0]};
-      s.data.assign(static_cast<std::size_t>(s.ext.volume()), 0.0);
-      s.written.assign(static_cast<std::size_t>(s.ext.volume()), 0);
-      scratch.emplace(name, std::move(s));
+    Scratch s;
+    std::array<std::int64_t, 3> ext = {1, 1, 1};
+    for (int a = 0; a < dims; ++a) {
+      const auto idx = static_cast<std::size_t>(a);
+      s.lo[2 - a] = own_lo[idx] - halo[idx];  // Scratch::lo is (z,y,x)
+      ext[idx] = (own_hi[idx] - own_lo[idx]) + 2 * halo[idx];
     }
-    return scratch;
+    s.ext = {ext[2], ext[1], ext[0]};
+    s.data.assign(static_cast<std::size_t>(s.ext.volume()), 0.0);
+    s.written.assign(static_cast<std::size_t>(s.ext.volume()), 0);
+    return s;
   };
 
   // Stage compute region (zyx, clamped to the domain) for a block.
@@ -387,16 +235,21 @@ ExecCounters execute_plan(const KernelPlan& plan, GridSet& gs,
     return r;
   };
 
-  // Write back internal arrays that are also program outputs: the owned
-  // tile of their scratch commits to global memory.
-  const auto materialize = [&](std::map<std::string, Scratch>& scratch,
+  // Write back internal arrays that are also program outputs, in
+  // plan.materialized_internals order: the owned tile of their scratch
+  // commits to global memory.
+  const auto materialize = [&](std::vector<Scratch>& scratch,
                                const BcRegion& own, BcCounters& c,
                                StageTrace* wb) {
     for (const auto& name : plan.materialized_internals) {
-      auto& s = scratch.at(name);
+      const auto i = static_cast<std::size_t>(
+          std::find(plan.internal_arrays.begin(), plan.internal_arrays.end(),
+                    name) -
+          plan.internal_arrays.begin());
+      ARTEMIS_CHECK(i < scratch.size());
+      Scratch& s = scratch[i];
       Grid3D& g = gs.grid(name);
-      const ArrayView& v =
-          base_views[static_cast<std::size_t>(arrays.slot(name))];
+      const ArrayView& v = bind.views[internal_slots[i]];
       for (std::int64_t z = own.lo[0]; z < own.hi[0]; ++z) {
         for (std::int64_t y = own.lo[1]; y < own.hi[1]; ++y) {
           for (std::int64_t x = own.lo[2]; x < own.hi[2]; ++x) {
@@ -428,13 +281,14 @@ ExecCounters execute_plan(const KernelPlan& plan, GridSet& gs,
                                       BlockTrace* bt) {
     std::array<std::int64_t, 3> own_lo, own_hi;
     block_geometry(block_id, own_lo, own_hi);
-    auto scratch = make_scratch(own_lo, own_hi);
 
-    std::vector<ArrayView> views = base_views;
-    for (auto& [name, s] : scratch) {
-      const int slot = arrays.slot(name);
-      ARTEMIS_CHECK(slot >= 0);
-      ArrayView& v = views[static_cast<std::size_t>(slot)];
+    // The block patches its scratch windows into its copy of the views.
+    std::vector<ArrayView> views = bind.views;
+    std::vector<Scratch> scratch;
+    scratch.reserve(internal_slots.size());
+    for (const std::size_t slot : internal_slots) {
+      Scratch& s = scratch.emplace_back(make_scratch(own_lo, own_hi));
+      ArrayView& v = views[slot];
       v.read = s.data.data();
       v.write = s.data.data();
       v.written = s.written.data();
@@ -452,12 +306,12 @@ ExecCounters execute_plan(const KernelPlan& plan, GridSet& gs,
     for (std::size_t s = 0; s < plan.stages.size(); ++s) {
       StageTrace* st = bt != nullptr ? &bt->stages[s] : nullptr;
       if (native && lowered[s].ok) {
-        native::run_native_region(lowered[s].prog, *compiled[s], views,
-                                  scalar_vals.data(),
+        native::run_native_region(lowered[s].prog, compiled[s], views,
+                                  bind.scalar_vals.data(),
                                   stage_region(s, own_lo, own_hi), own,
                                   /*drop_outside_commit=*/true, c, st, tier);
       } else {
-        run_compiled_region(*compiled[s], views, scalar_vals.data(),
+        run_compiled_region(compiled[s], views, bind.scalar_vals.data(),
                             stage_region(s, own_lo, own_hi), own,
                             /*drop_outside_commit=*/true, c, st);
       }
@@ -478,16 +332,8 @@ ExecCounters execute_plan(const KernelPlan& plan, GridSet& gs,
     block_counters[static_cast<std::size_t>(b)] = c;
   };
 
-  int jobs = opts.jobs > 0 ? opts.jobs : default_jobs();
-  jobs = static_cast<int>(
-      std::min<std::int64_t>(jobs, std::max<std::int64_t>(total_blocks, 1)));
+  const int jobs = parallel_for(total_blocks, run_block, opts.jobs);
   span.arg("jobs", Json(jobs));
-  if (jobs < 2 || TaskPool::inside_worker()) {
-    for (std::int64_t b = 0; b < total_blocks; ++b) run_block(b);
-  } else {
-    TaskPool pool(jobs);
-    pool.for_each(total_blocks, run_block);
-  }
 
   // Deterministic reduction: block order, not completion order. Reserve
   // the concatenated stream sizes up front so the merge copies each

@@ -30,12 +30,9 @@ enum class SimEngine {
              ///< refused stage fall back to the bytecode engine
 };
 
-/// Stable names for CLI flags, telemetry and reports: "bytecode",
+/// Stable names for telemetry and benchmark reports: "bytecode",
 /// "native".
 const char* engine_name(SimEngine engine);
-
-/// Parse an engine name. Throws artemis::Error on anything else.
-SimEngine engine_by_name(const std::string& name);
 
 /// Counting-mode output for one plan execution: per-stage interior/rim
 /// counters and coalesced line streams, plus the flat address map that
@@ -87,10 +84,11 @@ struct ExecOptions {
 ///    are snapshotted so all blocks observe pre-kernel values (see
 ///    needs_snapshot for the exact rule).
 ///
-/// Each stage's statement list is compiled once into slot-resolved
-/// bytecode (see bytecode.hpp) and blocks are swept in parallel over the
-/// work-stealing TaskPool, with per-block counters reduced in block order
-/// so the returned totals are deterministic at any job count.
+/// The grids bind once per call (GridBinding, shared with
+/// run_stencil_reference), each stage's statement list compiles once into
+/// slot-resolved bytecode (see bytecode.hpp), and blocks are swept by
+/// parallel_for, with per-block counters reduced in block order so the
+/// returned totals are deterministic at any job count.
 ///
 /// Numerical results match run_stencil_reference exactly for identical
 /// statement lists; geometry bugs (wrong halo, missing expansion) surface

@@ -1,8 +1,6 @@
 #include "artemis/sim/native/native.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string>
 
 #include "artemis/common/check.hpp"
 
@@ -28,10 +26,6 @@ Tier detect_hw() {
   if (__builtin_cpu_supports("avx2")) return Tier::Avx2;
 #endif
   return Tier::Scalar;
-}
-
-Tier narrower(Tier a, Tier b) {
-  return static_cast<int>(a) < static_cast<int>(b) ? a : b;
 }
 
 /// The sub-box of `box` whose points' writes through `acc` pass the
@@ -139,22 +133,7 @@ void replay_row(const LinearProgram& lp, const std::vector<ArrayView>& views,
 }  // namespace
 
 Tier active_tier() {
-  static const Tier tier = [] {
-    const Tier hw = detect_hw();
-    if (const char* env = std::getenv("ARTEMIS_NATIVE_TIER")) {
-      const std::string s = env;
-      Tier want = hw;
-      if (s == "scalar") {
-        want = Tier::Scalar;
-      } else if (s == "avx2") {
-        want = Tier::Avx2;
-      } else if (s == "avx512") {
-        want = Tier::Avx512;
-      }
-      return narrower(want, hw);
-    }
-    return hw;
-  }();
+  static const Tier tier = detect_hw();
   return tier;
 }
 

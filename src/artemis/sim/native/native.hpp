@@ -135,10 +135,7 @@ enum class Tier { Scalar, Avx2, Avx512 };
 
 const char* tier_name(Tier tier);
 
-/// The tier this host executes: cpuid-detected once per process, then
-/// clamped by the ARTEMIS_NATIVE_TIER environment variable
-/// (scalar|avx2|avx512) when set — the override can narrow but never
-/// exceed what the hardware supports.
+/// The tier this host executes: cpuid-detected once per process.
 Tier active_tier();
 
 /// Execute the lowered program over every point of `box` (all points must

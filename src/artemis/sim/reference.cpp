@@ -10,18 +10,6 @@ void run_stencil_reference(const ir::Program& prog,
                            const ir::BoundStencil& bound, GridSet& gs) {
   const ir::StencilInfo info = ir::analyze(prog, bound);
   const int dims = static_cast<int>(prog.iterators.size());
-
-  // Snapshot arrays whose reads could observe another point's write
-  // (kernel semantics: every point sees pre-kernel values). The reference
-  // never recomputes points, so aliasing-free read-write arrays skip the
-  // copy.
-  std::map<std::string, Grid3D> snapshots;
-  for (const auto& [name, ai] : info.arrays) {
-    if (needs_snapshot(ai, dims, /*recompute=*/false)) {
-      snapshots.emplace(name, gs.grid(name));
-    }
-  }
-
   ARTEMIS_CHECK_MSG(!info.outputs.empty(),
                     "stencil '" << bound.name << "' writes nothing");
   const Extents dom = gs.grid(info.outputs.front()).extents();
@@ -31,37 +19,11 @@ void run_stencil_reference(const ir::Program& prog,
                                      << "' have mismatched extents");
   }
 
-  // Slot-resolve every name once per run: the statement list compiles to
-  // bytecode against dense array/scalar tables instead of rebuilding
-  // string-keyed maps at every point.
-  SlotMap arrays;
-  for (const auto& [name, ai] : info.arrays) arrays.add(name);
-  SlotMap scalar_slots;
-  std::vector<double> scalar_vals;
-  for (const auto& name : info.scalars_read) {
-    scalar_slots.add(name);
-    scalar_vals.push_back(gs.scalar(name));
-  }
+  // The reference never recomputes points, so aliasing-free read-write
+  // arrays skip the snapshot.
+  const GridBinding bind(info, gs, dims, /*recompute=*/false, {});
   const CompiledStencil cs =
-      compile_stmts(bound.stmts, dims, arrays, scalar_slots);
-
-  std::vector<ArrayView> views(static_cast<std::size_t>(arrays.size()));
-  for (int slot = 0; slot < arrays.size(); ++slot) {
-    const std::string& name = arrays.name(slot);
-    ArrayView& v = views[static_cast<std::size_t>(slot)];
-    v.name = &arrays.name(slot);
-    Grid3D& g = gs.grid(name);
-    const Extents e = g.extents();
-    v.ez = e.z;
-    v.ey = e.y;
-    v.ex = e.x;
-    v.wz = e.z;
-    v.wy = e.y;
-    v.wx = e.x;
-    v.write = g.data();
-    const auto snap = snapshots.find(name);
-    v.read = snap != snapshots.end() ? snap->second.data() : g.data();
-  }
+      compile_stmts(bound.stmts, dims, bind.arrays, bind.scalars);
 
   // Parallelize over the outermost axis: points are independent
   // (snapshotted reads) and every write targets a distinct coordinate.
@@ -70,8 +32,8 @@ void run_stencil_reference(const ir::Program& prog,
     slab.lo = {z, 0, 0};
     slab.hi = {z + 1, dom.y, dom.x};
     BcCounters c;  // the reference reports no counters
-    run_compiled_region(cs, views, scalar_vals.data(), slab, BcRegion{},
-                        /*drop_outside_commit=*/false, c);
+    run_compiled_region(cs, bind.views, bind.scalar_vals.data(), slab,
+                        BcRegion{}, /*drop_outside_commit=*/false, c);
   });
 }
 

@@ -246,19 +246,6 @@ void atomic_write_file(Vfs& vfs, const std::string& path,
   }
 }
 
-const char* vfs_op_name(VfsOp::Kind k) {
-  switch (k) {
-    case VfsOp::Kind::Create: return "create";
-    case VfsOp::Kind::Write: return "write";
-    case VfsOp::Kind::Sync: return "sync";
-    case VfsOp::Kind::Rename: return "rename";
-    case VfsOp::Kind::Remove: return "remove";
-    case VfsOp::Kind::Mkdir: return "mkdir";
-    case VfsOp::Kind::SyncDir: return "syncdir";
-  }
-  return "?";
-}
-
 // --- MemVfs ----------------------------------------------------------------
 
 // Must live at namespace scope: MemVfs befriends this exact name.

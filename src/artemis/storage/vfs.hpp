@@ -153,8 +153,6 @@ struct VfsOp {
   bool truncate = false;  ///< Create mode
 };
 
-const char* vfs_op_name(VfsOp::Kind k);
-
 /// In-memory Vfs with explicit durability semantics, the substrate of the
 /// crash-consistency harness:
 ///
@@ -290,8 +288,6 @@ class FaultVfs : public Vfs {
   bool tag_alive(const std::string& tag) override;
 
   const FsFaultCounters& counters() const { return counters_; }
-  /// Mutating ops seen so far (the fs.crash_at coordinate).
-  std::uint64_t op_count() const { return ops_.load(); }
   bool crashed() const { return crashed_.load(); }
   /// Reset the crash flag and op counter ("reboot" after FsCrash) so one
   /// FaultVfs can drive repeated crash/recover cycles.

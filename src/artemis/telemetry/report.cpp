@@ -206,14 +206,9 @@ Json build_run_report(const ReportMeta& meta,
   parallel.set("steals", counter("parallel.steals"));
   report.set("parallel", std::move(parallel));
 
-  // Simulator engine accounting: which engine executed plans, how the
-  // stencil-compilation dedup cache behaved, and — under the native
-  // engine — how many stages ran on the SIMD tier vs fell back to
-  // bytecode. Makes benchmark and verify runs self-describing.
+  // Native engine accounting: how many stages ran on the SIMD tier vs
+  // fell back to bytecode (--metrics measures on the native engine).
   Json sim = Json::object();
-  sim.set("engine", meta.engine.empty() ? "bytecode" : meta.engine);
-  sim.set("compile_hits", counter("sim.compile_hits"));
-  sim.set("compile_misses", counter("sim.compile_misses"));
   sim.set("native_stages", counter("sim.native_stages"));
   sim.set("native_fallbacks", counter("sim.native_fallbacks"));
   report.set("sim", std::move(sim));

@@ -11,7 +11,7 @@ namespace artemis::telemetry {
 
 /// Schema version of the run report. Bump on any breaking change to the
 /// JSON layout; trajectory tooling keys on it.
-inline constexpr int kReportVersion = 4;
+inline constexpr int kReportVersion = 5;
 
 /// Run identification attached to the report header.
 struct ReportMeta {
@@ -19,7 +19,6 @@ struct ReportMeta {
   std::string strategy;  ///< generator strategy name
   std::string device;    ///< device model name
   int jobs = 1;          ///< tuning parallelism the run was driven with
-  std::string engine;    ///< sim engine name ("bytecode"/"native")
 };
 
 /// Structured form of one kernel configuration (the autotuner knobs).

@@ -109,59 +109,6 @@ TEST(Analyze, HighOrderRadius) {
   EXPECT_EQ(info.order, 3);
 }
 
-TEST(StmtGraph, LocalTempDependence) {
-  const Program p = dsl::parse(kJacobiDsl);
-  const BoundStencil b = bind_call(p, p.steps[0].call);
-  const StmtGraph g = build_stmt_graph(b.stmts);
-  ASSERT_EQ(g.num_stmts(), 2);
-  // stmt 0 defines c, stmt 1 uses it.
-  ASSERT_EQ(g.succs[0].size(), 1u);
-  EXPECT_EQ(g.succs[0][0], 1);
-  EXPECT_EQ(g.preds[1], (std::vector<int>{0}));
-}
-
-TEST(StmtGraph, AccumulateSelfDependence) {
-  const Program p = dsl::parse(R"(
-    parameter N=8;
-    iterator i;
-    double a[N], b[N];
-    stencil s (B, A) { B[i] = A[i]; B[i] += A[i-1]; }
-    s (b, a);
-  )");
-  const BoundStencil b = bind_call(p, p.steps[0].call);
-  const StmtGraph g = build_stmt_graph(b.stmts);
-  ASSERT_EQ(g.succs[0].size(), 1u);
-  EXPECT_EQ(g.succs[0][0], 1);
-}
-
-TEST(CallGraph, ProducerConsumer) {
-  const Program p = dsl::parse(kDagDsl);
-  std::vector<BoundStencil> calls;
-  for (const auto& step : p.steps) {
-    calls.push_back(bind_call(p, step.call));
-  }
-  const CallGraph g = build_call_graph(calls);
-  ASSERT_EQ(g.succs.size(), 2u);
-  EXPECT_EQ(g.succs[0], (std::vector<int>{1}));  // blurx -> blury via tmp
-  EXPECT_TRUE(g.succs[1].empty());
-  EXPECT_EQ(g.preds[1], (std::vector<int>{0}));
-}
-
-TEST(CallGraph, WriteAfterWriteIsDependence) {
-  const Program p = dsl::parse(R"(
-    parameter N=8;
-    iterator i;
-    double a[N], b[N];
-    stencil s (B, A) { B[i] = A[i]; }
-    s (b, a);
-    s (b, a);
-  )");
-  std::vector<BoundStencil> calls;
-  for (const auto& step : p.steps) calls.push_back(bind_call(p, step.call));
-  const CallGraph g = build_call_graph(calls);
-  EXPECT_EQ(g.succs[0], (std::vector<int>{1}));
-}
-
 TEST(Analyze, FlopCountMatchesExprCount) {
   const Program p = dsl::parse(R"(
     parameter N=8;

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include "artemis/codegen/plan_builder.hpp"
+#include "artemis/common/parallel.hpp"
 #include "artemis/common/str.hpp"
 #include "artemis/dsl/parser.hpp"
 #include "artemis/gpumodel/device.hpp"
 #include "artemis/sim/executor.hpp"
 #include "artemis/sim/reference.hpp"
 #include "artemis/stencils/random_stencil.hpp"
+#include "artemis/telemetry/telemetry.hpp"
 #include "test_programs.hpp"
 
 namespace artemis::sim {
@@ -140,6 +142,31 @@ TEST(Executor, FusedDagGlobalOnlyMatchesReference) {
   BuildOptions opts;
   opts.use_shared_memory = false;
   EXPECT_EQ(run_and_compare(prog, cfg, opts, /*fuse_all=*/true), 0.0);
+}
+
+TEST(Executor, ReferenceSizesItsPoolByTheDefaultJobs) {
+  // The reference's slab sweep follows the process default (--jobs): at
+  // one job it runs serially, at two it starts one pool per stencil step.
+  ir::Program prog = dsl::parse(testing::kJacobiIterativeDsl);
+  for (auto& p : prog.params) p.value = 16;
+  std::int64_t steps = 0;
+  for (const auto& step : ir::flatten_steps(prog)) {
+    if (step.kind == ir::ExecStep::Kind::Stencil) ++steps;
+  }
+  const auto pools_at = [&](int jobs) {
+    set_default_jobs(jobs);
+    telemetry::Collector::global().enable();
+    telemetry::Collector::global().clear();
+    GridSet gs = GridSet::from_program(prog, 5);
+    run_program_reference(prog, gs);
+    const auto counters = telemetry::Collector::global().counters();
+    telemetry::Collector::global().disable();
+    set_default_jobs(0);
+    const auto it = counters.find("parallel.pools");
+    return it == counters.end() ? std::int64_t{0} : it->second;
+  };
+  EXPECT_EQ(pools_at(1), 0);
+  EXPECT_EQ(pools_at(2), steps);
 }
 
 TEST(Executor, CountsComputeAndSkips) {

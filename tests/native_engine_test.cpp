@@ -195,15 +195,8 @@ TEST(NativeEngine, TierNamesAndDispatchTableAreSane) {
 // ---- engine plumbing -------------------------------------------------------
 
 TEST(NativeEngine, EngineNamesRoundTrip) {
-  EXPECT_EQ(engine_by_name("bytecode"), SimEngine::Bytecode);
-  EXPECT_EQ(engine_by_name("native"), SimEngine::Native);
-  for (const auto e : {SimEngine::Bytecode, SimEngine::Native}) {
-    EXPECT_EQ(engine_by_name(engine_name(e)), e);
-  }
-  // The tree walk is the plan-free verify oracle, not an engine.
-  EXPECT_THROW(engine_by_name("tree"), Error);
-  EXPECT_THROW(engine_by_name("treewalk"), Error);
-  EXPECT_THROW(engine_by_name("cuda"), Error);
+  EXPECT_STREQ(engine_name(SimEngine::Bytecode), "bytecode");
+  EXPECT_STREQ(engine_name(SimEngine::Native), "native");
 }
 
 TEST(NativeEngine, RefusedStageFallsBackAndStillMatches) {
@@ -234,30 +227,6 @@ TEST(NativeEngine, RefusedStageFallsBackAndStillMatches) {
   const auto it = counters.find("sim.native_fallbacks");
   ASSERT_NE(it, counters.end());
   EXPECT_GT(it->second, 0);
-}
-
-TEST(NativeEngine, CompileCacheDedupesIdenticalStages) {
-  // Two executions of one plan compile the statement list once; the
-  // second hits the content-addressed cache.
-  const ir::Program prog = dsl::parse(artemis::testing::kJacobiDsl);
-  const auto dev = gpumodel::p100();
-  KernelConfig cfg;
-  cfg.block = {8, 8, 8};
-  const auto plan =
-      codegen::build_plan_for_call(prog, prog.steps[0].call, cfg, dev);
-
-  telemetry::Collector::global().enable();
-  telemetry::Collector::global().clear();
-  GridSet a = GridSet::from_program(prog, 2);
-  GridSet b = GridSet::from_program(prog, 2);
-  execute_plan(plan, a);
-  execute_plan(plan, b);
-  const auto counters = telemetry::Collector::global().counters();
-  telemetry::Collector::global().disable();
-
-  const auto hit = counters.find("sim.compile_hits");
-  ASSERT_NE(hit, counters.end());
-  EXPECT_GE(hit->second, 1);
 }
 
 }  // namespace

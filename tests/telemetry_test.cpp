@@ -213,7 +213,7 @@ TEST_F(TelemetryTest, RunReportRoundTripsAndCountersSumConsistently) {
   const auto dev = gpumodel::p100();
   const auto result = driver::optimize_program(prog, dev);
 
-  const ReportMeta meta{"jacobi-iterative.dsl", "artemis", dev.name, 1, "bytecode"};
+  const ReportMeta meta{"jacobi-iterative.dsl", "artemis", dev.name, 1};
   const Json report =
       build_run_report(meta, result, Collector::global().snapshot(),
                        Collector::global().counters());
@@ -234,7 +234,8 @@ TEST_F(TelemetryTest, RunReportRoundTripsAndCountersSumConsistently) {
                "quarantined", "quarantine_skips", "degraded",
                "journal_records", "journal_replayed", "journal_parse_errors",
                "journal_write_errors", "dropped_candidates", "dropped"});
-  EXPECT_EQ(back["report_version"].as_int(), 4);
+  expect_keys(back["sim"], {"native_stages", "native_fallbacks"});
+  EXPECT_EQ(back["report_version"].as_int(), 5);
   EXPECT_EQ(back["report_version"].as_int(), kReportVersion);
   EXPECT_EQ(back["source"].as_string(), "jacobi-iterative.dsl");
   EXPECT_EQ(back["strategy"].as_string(), "artemis");
@@ -344,7 +345,7 @@ TEST_F(RunSinksTest, ThrownRunStillLeavesParseableJson) {
     RunSinks sinks({trace_, report_, metrics_, /*summary=*/false});
     EXPECT_TRUE(sinks.active());
     EXPECT_TRUE(enabled());
-    sinks.set_meta({"boom.dsl", "artemis", "P100", 2, "bytecode"});
+    sinks.set_meta({"boom.dsl", "artemis", "P100", 2});
     counter_add("tuner.enumerated", 3);
     instant("tuner.leaderboard", "tune");
     throw Error("pipeline exploded");
@@ -377,7 +378,7 @@ TEST_F(RunSinksTest, ThrownRunStillLeavesParseableJson) {
 TEST_F(RunSinksTest, FinalizeMarksCompletedAndEmbedsMetrics) {
   {
     RunSinks sinks({"", report_, metrics_, /*summary=*/false});
-    sinks.set_meta({"ok.dsl", "artemis", "P100", 1, "bytecode"});
+    sinks.set_meta({"ok.dsl", "artemis", "P100", 1});
     driver::ProgramResult r;
     r.strategy = "artemis";
     sinks.set_result(std::move(r));
@@ -397,7 +398,7 @@ TEST_F(RunSinksTest, FinalizeMarksCompletedAndEmbedsMetrics) {
 TEST_F(RunSinksTest, DestructorIsIdempotentAfterFinalize) {
   {
     RunSinks sinks({"", report_, "", false});
-    sinks.set_meta({"once.dsl", "artemis", "P100", 1, "bytecode"});
+    sinks.set_meta({"once.dsl", "artemis", "P100", 1});
     EXPECT_TRUE(sinks.finalize());
     // Overwrite the file; the destructor must not clobber it again.
     ASSERT_TRUE(write_file(report_, "{\"sentinel\": true}\n"));

@@ -63,10 +63,6 @@ int usage(const char* argv0) {
                "       [--emit-cuda]          print the generated CUDA\n"
                "       [--profile]            per-kernel OI/roofline report\n"
                "       [--run]                functional run + checksum\n"
-               "       [--engine bytecode|native]\n"
-               "                              simulator engine for --run "
-               "(default:\n"
-               "                              bytecode; both bit-identical)\n"
                "       [--emit-candidates]    print fission candidate DSL\n"
                "       [--compare]            all five generators (Fig. 5 "
                "row)\n"
@@ -187,7 +183,6 @@ int main(int argc, char** argv) {
   std::string path;
   std::string strategy_name = "artemis";
   std::string device_name = "p100";
-  std::string engine_name = "bytecode";
   std::string store_path;
   std::string journal_path, fault_spec;
   std::string trace_path, report_path, metrics_path;
@@ -209,8 +204,6 @@ int main(int argc, char** argv) {
       profile = true;
     } else if (arg == "--run") {
       run = true;
-    } else if (arg == "--engine" && i + 1 < argc) {
-      engine_name = argv[++i];
     } else if (arg == "--emit-candidates") {
       candidates = true;
     } else if (arg == "--store" && i + 1 < argc) {
@@ -371,11 +364,9 @@ int main(int argc, char** argv) {
     copts.jobs = jobs;
     copts.vfs = vfs;
     copts.store_root = store_path;
-    copts.engine = sim::engine_by_name(engine_name);
     driver::ArtemisContext ctx(copts);
     const int resolved_jobs = ctx.resolved_jobs();
-    sinks.set_meta({path, strat.name, dev.name, resolved_jobs,
-                    sim::engine_name(copts.engine)});
+    sinks.set_meta({path, strat.name, dev.name, resolved_jobs});
 
     if (compare) {
       const ir::Program prog = ctx.compile(source).program;
