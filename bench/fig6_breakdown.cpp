@@ -68,7 +68,9 @@ std::optional<double> eval_tflops(const autotune::PlanFactory& factory,
                                   const gpumodel::DeviceSpec& dev,
                                   const gpumodel::ModelParams& params) {
   try {
-    const auto ev = gpumodel::evaluate(factory(cfg), dev, params);
+    const std::optional<codegen::KernelPlan> plan = factory(cfg);
+    if (!plan) return std::nullopt;
+    const auto ev = gpumodel::evaluate(*plan, dev, params);
     if (!ev.valid) return std::nullopt;
     return ev.tflops();
   } catch (const PlanError&) {
@@ -105,9 +107,10 @@ int main() {
       // Register-constrained? Probe the baseline's estimate.
       bool reg_constrained = false;
       try {
-        const auto est = gpumodel::estimate_registers(
-            factory(base_config(use_shmem, setup.iterative, false)));
-        reg_constrained = est.total > 128;
+        if (const auto plan =
+                factory(base_config(use_shmem, setup.iterative, false))) {
+          reg_constrained = gpumodel::estimate_registers(*plan).total > 128;
+        }
       } catch (const PlanError&) {
       }
       const codegen::KernelConfig base =

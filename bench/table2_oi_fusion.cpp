@@ -59,8 +59,9 @@ int main() {
     try {
       const auto tuned =
           autotune::hierarchical_tune(factory, seed, dev, params, strat.tune);
-      const auto rep =
-          profile::profile_plan(factory(tuned.best.config), dev, params);
+      const auto rep = profile::profile_plan(
+          codegen::build_plan(tt.augmented, tt.stages, tuned.best.config, dev),
+          dev, params);
       row_dram.push_back(format_double(rep.oi_dram, 3));
       row_tex.push_back(format_double(rep.oi_tex, 3));
       row_shm.push_back(format_double(rep.oi_shm, 3));

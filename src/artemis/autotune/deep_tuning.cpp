@@ -58,7 +58,7 @@ DeepTuneResult deep_tune(const ir::Program& prog,
     const codegen::StageTemplate tmpl(tt.augmented, tt.stages);
     const PlanFactory factory = [&tmpl,
                                  &dev](const codegen::KernelConfig& cfg) {
-      return codegen::configure(tmpl, cfg, dev);
+      return codegen::try_configure(tmpl, cfg, dev);
     };
 
     codegen::KernelConfig seed;
@@ -71,8 +71,8 @@ DeepTuneResult deep_tune(const ir::Program& prog,
     entry.tuned = hierarchical_tune(factory, seed, dev, params, opts.tune);
     entry.time_s = entry.tuned.best.time_s;
     entry.tflops = entry.tuned.best.eval.tflops();
-    entry.report =
-        profile::profile_plan(factory(entry.tuned.best.config), dev, params);
+    entry.report = profile::profile_plan(
+        codegen::configure(tmpl, entry.tuned.best.config, dev), dev, params);
     return entry;
   });
 }

@@ -1,7 +1,6 @@
 #include "artemis/autotune/search.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -134,12 +133,22 @@ struct EvalOutcome {
   std::optional<Candidate> candidate;  ///< success, either path
 };
 
-/// A candidate's plan as register-budget escalation built it: the plan at
-/// the settled budget, or the PlanError its build threw, plus the budgets
-/// passed over. Evaluation reuses it instead of building again.
+/// `factory(cfg)`, with a thrown PlanError read as infeasible like a
+/// returned nullopt.
+std::optional<KernelPlan> build(const PlanFactory& factory,
+                                const KernelConfig& cfg) {
+  try {
+    return factory(cfg);
+  } catch (const PlanError&) {
+    return std::nullopt;
+  }
+}
+
+/// A candidate's plan, built once before evaluation (nullopt when the
+/// config is infeasible), plus the register budgets escalation passed
+/// over.
 struct BuiltPlan {
   std::optional<KernelPlan> plan;
-  std::exception_ptr error;
   int skipped_budgets = 0;
 };
 
@@ -154,11 +163,9 @@ BuiltPlan build_settled(const PlanFactory& factory, KernelConfig& cfg,
                         const std::vector<int>& budgets) {
   BuiltPlan built;
   cfg.max_registers = budgets.front();
-  try {
-    built.plan = factory(cfg);
-  } catch (const PlanError&) {
+  built.plan = build(factory, cfg);
+  if (!built.plan) {
     cfg.max_registers = budgets.back();
-    built.error = std::current_exception();
     return built;
   }
   const int regs = gpumodel::estimate_registers(*built.plan).total;
@@ -175,22 +182,18 @@ BuiltPlan build_settled(const PlanFactory& factory, KernelConfig& cfg,
 }
 
 /// The thread-safe half of try-one-configuration: journal lookup (the
-/// replay map is immutable during a run), plan construction (unless
-/// `built` carries it), and the measurement through the resilient runner.
-/// No telemetry counters, no journal writes, no TuneResult mutation —
-/// commit_candidate does those.
+/// replay map is immutable during a run) and the measurement of `plan`,
+/// the candidate's build, through the resilient runner. No telemetry
+/// counters, no journal writes, no TuneResult mutation — commit_candidate
+/// does those.
 EvalOutcome evaluate_candidate(EvalContext& ctx, const KernelConfig& cfg,
-                               const BuiltPlan& built) {
+                               const std::optional<KernelPlan>& plan) {
   EvalOutcome eo;
   if (ctx.needs_key()) eo.key = ctx.candidate_key(cfg);
-  // The model's evaluation of `cfg`, on escalation's plan when `built`
-  // carries one and on a fresh build otherwise.
-  const auto evaluate = [&] {
-    if (built.error) std::rethrow_exception(built.error);
-    if (built.plan) {
-      return gpumodel::evaluate(*built.plan, ctx.dev, ctx.params);
-    }
-    return gpumodel::evaluate(ctx.factory(cfg), ctx.dev, ctx.params);
+  // The model's evaluation of `cfg`; nullopt when it is infeasible.
+  const auto evaluate = [&]() -> std::optional<gpumodel::KernelEval> {
+    if (!plan) return std::nullopt;
+    return gpumodel::evaluate(*plan, ctx.dev, ctx.params);
   };
 
   // Replay: a resumed journal already holds this candidate's outcome, so
@@ -202,16 +205,13 @@ EvalOutcome evaluate_candidate(EvalContext& ctx, const KernelConfig& cfg,
       eo.replayed = true;
       eo.replay = rec;
       if (rec->status == "ok") {
-        try {
-          gpumodel::KernelEval ev = evaluate();
-          if (ev.valid) {
-            Candidate c;
-            c.config = cfg;
-            c.time_s = rec->time_s;
-            c.eval = std::move(ev);
-            eo.candidate = std::move(c);
-          }
-        } catch (const PlanError&) {
+        std::optional<gpumodel::KernelEval> ev = evaluate();
+        if (ev && ev->valid) {
+          Candidate c;
+          c.config = cfg;
+          c.time_s = rec->time_s;
+          c.eval = std::move(*ev);
+          eo.candidate = std::move(c);
         }
       }
       return eo;
@@ -333,28 +333,25 @@ std::optional<Candidate> commit_candidate(EvalContext& ctx,
 /// nullopt when even the baseline cannot run.
 std::optional<Candidate> degrade_to_seed(EvalContext& ctx,
                                          const KernelConfig& seed) {
-  try {
-    const KernelPlan plan = ctx.factory(seed);
-    gpumodel::KernelEval ev = gpumodel::evaluate(plan, ctx.dev, ctx.params);
-    if (!ev.valid) return std::nullopt;
-    Candidate c;
-    c.config = seed;
-    c.time_s = ev.time_s;
-    c.eval = std::move(ev);
-    ctx.result->degraded = true;
-    telemetry::counter_add("tuner.degraded");
-    if (telemetry::enabled()) {
-      telemetry::instant(
-          "tuner.degraded", "tune",
-          {{"reason",
-            Json("search found no feasible configuration; degrading to "
-                 "the baseline config")},
-           {"config", Json(serialize_config(seed))}});
-    }
-    return c;
-  } catch (const PlanError&) {
-    return std::nullopt;
+  const std::optional<KernelPlan> plan = build(ctx.factory, seed);
+  if (!plan) return std::nullopt;
+  gpumodel::KernelEval ev = gpumodel::evaluate(*plan, ctx.dev, ctx.params);
+  if (!ev.valid) return std::nullopt;
+  Candidate c;
+  c.config = seed;
+  c.time_s = ev.time_s;
+  c.eval = std::move(ev);
+  ctx.result->degraded = true;
+  telemetry::counter_add("tuner.degraded");
+  if (telemetry::enabled()) {
+    telemetry::instant(
+        "tuner.degraded", "tune",
+        {{"reason",
+          Json("search found no feasible configuration; degrading to "
+               "the baseline config")},
+         {"config", Json(serialize_config(seed))}});
   }
+  return c;
 }
 
 /// The search's top_k candidates, best first. Each entry keeps its
@@ -374,6 +371,15 @@ class Leaderboard {
   }
 
   void insert(Candidate c) {
+    // A full board drops a candidate strictly slower than its last entry
+    // whatever its key: a duplicate would keep its faster slot, and a new
+    // config would sort last and be cut. Return before serializing it.
+    // (A negative top_k never fills the board.)
+    if (!entries_.empty() &&
+        entries_.size() >= static_cast<std::size_t>(top_k_) &&
+        c.time_s > entries_.back().cand.time_s) {
+      return;
+    }
     const bool had_best = !entries_.empty();
     const double prev_best_s = had_best ? entries_.front().cand.time_s : 0;
     const std::string prev_best_key = had_best && telemetry::enabled()
@@ -408,8 +414,9 @@ class Leaderboard {
       entries_.resize(static_cast<std::size_t>(top_k_));
     }
     // Leaderboard-change events ride the serial commit path, so the event
-    // stream is identical at any jobs value (search observability).
-    if (telemetry::enabled()) {
+    // stream is identical at any jobs value (search observability). A
+    // top_k of 0 keeps the board empty.
+    if (telemetry::enabled() && !entries_.empty()) {
       const Entry& best = entries_.front();
       if (!had_best || best.key != prev_best_key) {
         telemetry::counter_add("tuner.leaderboard_changes");
@@ -472,8 +479,10 @@ void run_candidates(EvalContext& ctx, TaskPool* pool, const char* stage,
       if (p.spill_pruned > 0) {
         telemetry::counter_add("tuner.pruned_spill_budgets", p.spill_pruned);
       }
+    } else {
+      built.plan = build(ctx.factory, cfg);
     }
-    p.eo = evaluate_candidate(ctx, cfg, built);
+    p.eo = evaluate_candidate(ctx, cfg, built.plan);
     p.cfg = std::move(cfg);
   };
 
@@ -661,13 +670,10 @@ TuneResult hierarchical_tune(const PlanFactory& factory,
   if (jobs > 1) pool_storage.emplace(jobs);
   TaskPool* pool = pool_storage ? &*pool_storage : nullptr;
 
-  // Infer dimensionality from the seed plan.
+  // Infer dimensionality from the seed plan; keep the default when the
+  // seed is infeasible, and let the sweep below discover feasibility.
   int dims = 3;
-  try {
-    dims = factory(seed).dims;
-  } catch (const PlanError&) {
-    // Keep the default; the sweep below will discover feasibility.
-  }
+  if (const auto plan = build(factory, seed)) dims = plan->dims;
 
   std::vector<TilingScheme> tilings = {seed.tiling};
   if (opts.explore_tiling && dims >= 2) {
@@ -769,10 +775,7 @@ TuneResult exhaustive_tune(const PlanFactory& factory,
   TaskPool* pool = pool_storage ? &*pool_storage : nullptr;
 
   int dims = 3;
-  try {
-    dims = factory(seed).dims;
-  } catch (const PlanError&) {
-  }
+  if (const auto plan = build(factory, seed)) dims = plan->dims;
 
   std::vector<TilingScheme> tilings = {seed.tiling};
   if (opts.explore_tiling && dims >= 2) {
@@ -851,10 +854,7 @@ TuneResult random_tune(const PlanFactory& factory,
   Rng rng(rng_seed);
 
   int dims = 3;
-  try {
-    dims = factory(seed).dims;
-  } catch (const PlanError&) {
-  }
+  if (const auto plan = build(factory, seed)) dims = plan->dims;
 
   auto pow2 = [&rng](int lo_exp, int hi_exp) {
     return 1 << rng.uniform_int(lo_exp, hi_exp);

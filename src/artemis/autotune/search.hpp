@@ -27,14 +27,15 @@ constexpr int kTunerVersion = 1;
 /// KernelConfig field must show in it.
 std::string serialize_config(const codegen::KernelConfig& cfg);
 
-/// Builds a plan for a candidate configuration. Implementations wrap
-/// codegen::configure (or build_plan) with the appropriate stage list and
-/// BuildOptions; throwing PlanError marks the configuration infeasible.
+/// Builds a plan for a candidate configuration, or nullopt when the
+/// configuration is infeasible. Implementations wrap codegen::try_configure
+/// with the appropriate stage template; a factory that throws PlanError
+/// (one wrapping build_plan, say) marks the configuration infeasible too.
 /// The plan may not depend on cfg.max_registers beyond carrying it in
 /// plan.config: register escalation builds each candidate once and sets
 /// the settled budget on that plan.
-using PlanFactory =
-    std::function<codegen::KernelPlan(const codegen::KernelConfig&)>;
+using PlanFactory = std::function<std::optional<codegen::KernelPlan>(
+    const codegen::KernelConfig&)>;
 
 /// Search-space pruning rules (Section V): powers of two, block dims in
 /// [4, 256], unroll bounded by 8 (bandwidth-bound) or 4 (compute-bound).

@@ -65,6 +65,16 @@ struct KernelConfig {
   std::string to_string() const;
 };
 
+/// The per-point terms of the register model (gpumodel::RegisterEstimate),
+/// in registers per thread. They depend only on the statement lists, so
+/// the plan builder derives them once per stage list
+/// (gpumodel::point_registers) and every plan carries them.
+struct PointRegisters {
+  int locals = 0;      ///< live scalar temporaries
+  int operands = 0;    ///< operand registers for the widest statement
+  int scheduling = 0;  ///< ILP-window pressure (grows with FLOPs)
+};
+
 /// Residency of one array inside the generated kernel.
 struct Placement {
   ir::MemSpace space = ir::MemSpace::Global;
@@ -114,6 +124,10 @@ struct KernelPlan {
 
   /// Shared memory consumed per block, derived by the resource mapper.
   std::int64_t shmem_bytes_per_block = 0;
+
+  /// Register terms of the stage statements, read by
+  /// gpumodel::estimate_registers.
+  PointRegisters point_registers;
 
   /// Iterator names of the source program (outermost first), for emission.
   std::vector<std::string> iterators;

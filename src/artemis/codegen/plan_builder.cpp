@@ -6,6 +6,7 @@
 
 #include "artemis/common/str.hpp"
 #include "artemis/gpumodel/occupancy.hpp"
+#include "artemis/gpumodel/registers.hpp"
 #include "artemis/transform/fold.hpp"
 #include "artemis/transform/retime.hpp"
 
@@ -195,6 +196,8 @@ void derive_base(const ir::Program& prog,
       if (ai.read) plan.info.inputs.push_back(name);
     }
   }
+
+  plan.point_registers = gpumodel::point_registers(stages);
 
   // Convert cumulative radii (per iterator) to per-axis halo.
   for (int d = 0; d < plan.dims; ++d) {
@@ -388,32 +391,73 @@ struct StageTemplate::Fit {
   }
 };
 
-StageTemplate::Fit StageTemplate::fit(const KernelConfig& config,
-                                      const gpumodel::DeviceSpec& dev) const {
+struct StageTemplate::Rejection {
+  enum class Kind {
+    BlockTooLarge,    ///< more threads than the device allows per block
+    BadFactor,        ///< a block or unroll factor below 1
+    StreamAxis,       ///< the stream axis is not a domain axis
+    StreamDims,       ///< streaming a 1D domain
+    ShmemOverDevice,  ///< shared memory over capacity, no rationing
+    ShmemNoVictim,    ///< over the rationed limit, nothing left to demote
+  };
+  Kind kind;
+  std::int64_t demand = 0;  ///< threads or shared-memory bytes
+  std::int64_t limit = 0;   ///< the bound `demand` exceeds
+
+  /// The PlanError message configure() and build_plan() throw.
+  std::string message() const {
+    switch (kind) {
+      case Kind::BlockTooLarge:
+        return str_cat("block of ", demand, " threads exceeds device limit ",
+                       limit);
+      case Kind::BadFactor:
+        return "block and unroll factors must be >= 1";
+      case Kind::StreamAxis:
+        return "stream axis out of range";
+      case Kind::StreamDims:
+        return "streaming requires a 2D or 3D domain";
+      case Kind::ShmemOverDevice:
+        return str_cat("shared memory demand ", demand,
+                       " B exceeds the device's ", limit,
+                       " B per block; use a smaller block, pin arrays "
+                       "to gmem with #assign, or set an occupancy "
+                       "target to enable rationing");
+      case Kind::ShmemNoVictim:
+        return str_cat("shared memory demand ", demand, " B exceeds limit ",
+                       limit,
+                       " B and no demotable buffer remains (block too "
+                       "large?)");
+    }
+    return "infeasible configuration";
+  }
+};
+
+std::optional<StageTemplate::Rejection> StageTemplate::fit(
+    const KernelConfig& config, const gpumodel::DeviceSpec& dev,
+    Fit& fit) const {
+  using Kind = Rejection::Kind;
   if (failure_) std::rethrow_exception(failure_);
   const int dims = base_.dims;
 
   // Launch validity.
   if (config.threads_per_block() > dev.max_threads_per_block) {
-    throw PlanError(str_cat("block of ", config.threads_per_block(),
-                            " threads exceeds device limit ",
-                            dev.max_threads_per_block));
+    return Rejection{Kind::BlockTooLarge, config.threads_per_block(),
+                     dev.max_threads_per_block};
   }
   for (int a = 0; a < 3; ++a) {
     if (config.block[static_cast<std::size_t>(a)] < 1 ||
         config.unroll[static_cast<std::size_t>(a)] < 1) {
-      throw PlanError("block and unroll factors must be >= 1");
+      return Rejection{Kind::BadFactor};
     }
   }
   if (config.tiling != TilingScheme::Spatial3D &&
       (config.stream_axis < 0 || config.stream_axis >= dims)) {
-    throw PlanError("stream axis out of range");
+    return Rejection{Kind::StreamAxis};
   }
   if (config.tiling != TilingScheme::Spatial3D && dims < 2) {
-    throw PlanError("streaming requires a 2D or 3D domain");
+    return Rejection{Kind::StreamDims};
   }
 
-  Fit fit;
   // Retiming (Section III-B2): legal only when every decomposed
   // sub-statement is homogenizable along the streaming iterator.
   if (config.retime && config.tiling != TilingScheme::Spatial3D) {
@@ -450,11 +494,8 @@ StageTemplate::Fit StageTemplate::fit(const KernelConfig& config,
   // smaller block (this configuration is infeasible). Demotion is the
   // user-guided resource-rationing extension of Section II-B2.
   if (!config.target_occupancy && fit.shmem_bytes > dev.shmem_per_block) {
-    throw PlanError(str_cat("shared memory demand ", fit.shmem_bytes,
-                            " B exceeds the device's ", dev.shmem_per_block,
-                            " B per block; use a smaller block, pin arrays "
-                            "to gmem with #assign, or set an occupancy "
-                            "target to enable rationing"));
+    return Rejection{Kind::ShmemOverDevice, fit.shmem_bytes,
+                     dev.shmem_per_block};
   }
 
   const std::int64_t shmem_limit = [&]() -> std::int64_t {
@@ -493,10 +534,7 @@ StageTemplate::Fit StageTemplate::fit(const KernelConfig& config,
       }
     }
     if (victim.empty()) {
-      throw PlanError(str_cat(
-          "shared memory demand ", fit.shmem_bytes, " B exceeds limit ",
-          shmem_limit, " B and no demotable buffer remains (block too "
-          "large?)"));
+      return Rejection{Kind::ShmemNoVictim, fit.shmem_bytes, shmem_limit};
     }
     auto& pl = fit.placement.at(victim);
     pl.space = ir::MemSpace::Global;
@@ -504,13 +542,30 @@ StageTemplate::Fit StageTemplate::fit(const KernelConfig& config,
     fit.shmem_bytes =
         compute_shmem_bytes(base_, config, fit.retimed, fit.placement);
   }
-  return fit;
+  return std::nullopt;
+}
+
+StageTemplate::Fit StageTemplate::fit_or_throw(
+    const KernelConfig& config, const gpumodel::DeviceSpec& dev) const {
+  Fit out;
+  if (const auto rejected = fit(config, dev, out)) {
+    throw PlanError(rejected->message());
+  }
+  return out;
 }
 
 KernelPlan configure(const StageTemplate& tmpl, const KernelConfig& config,
                      const gpumodel::DeviceSpec& dev) {
   // fit() runs to completion before the template is copied.
-  return tmpl.fit(config, dev).into(tmpl.base_, config);
+  return tmpl.fit_or_throw(config, dev).into(tmpl.base_, config);
+}
+
+std::optional<KernelPlan> try_configure(const StageTemplate& tmpl,
+                                        const KernelConfig& config,
+                                        const gpumodel::DeviceSpec& dev) {
+  StageTemplate::Fit fit;
+  if (tmpl.fit(config, dev, fit)) return std::nullopt;
+  return std::move(fit).into(tmpl.base_, config);
 }
 
 KernelPlan build_plan(const ir::Program& prog,
@@ -519,7 +574,7 @@ KernelPlan build_plan(const ir::Program& prog,
                       const gpumodel::DeviceSpec& dev,
                       const BuildOptions& opts) {
   StageTemplate tmpl(prog, std::move(stages), opts);
-  return tmpl.fit(config, dev).into(std::move(tmpl.base_), config);
+  return tmpl.fit_or_throw(config, dev).into(std::move(tmpl.base_), config);
 }
 
 KernelPlan build_plan_for_call(const ir::Program& prog,

@@ -4,6 +4,7 @@
 #include <exception>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,21 +25,23 @@ struct BuildOptions {
 
 /// The config-independent half of a plan build: everything build_plan
 /// derives from the program, the stage list and the BuildOptions alone.
-/// A tuner builds one per (stage list, options) and calls configure() once
-/// per candidate, so the stage analysis runs once per tune instead of once
-/// per candidate.
+/// A tuner builds one per (stage list, options) and calls try_configure()
+/// once per candidate, so the stage analysis runs once per tune instead of
+/// once per candidate.
 ///
 /// Built eagerly: the merged StencilInfo, per-stage FLOPs, radii and
 /// overlapped-tiling expansion, per-array effective halos, the output
 /// domain, internal and materialized arrays, the base placement (with
-/// `#assign` pins) and per-array access counts. Built on first request,
-/// thread-safe: the retiming verdict per streaming iterator and the fold
-/// groups, which only retime/fold configurations need, so a one-shot
-/// build_plan does no work its config does not ask for.
+/// `#assign` pins), the per-point register terms and per-array access
+/// counts. Built on first request, thread-safe: the retiming verdict per
+/// streaming iterator and the fold groups, which only retime/fold
+/// configurations need, so a one-shot build_plan does no work its config
+/// does not ask for.
 ///
 /// A config-independent failure (no output statement, an undeclared
-/// output array) is captured here and rethrown by every configure(), so
-/// errors surface in the same order build_plan always raised them.
+/// output array) is captured here and rethrown by every configure() and
+/// try_configure(), so errors surface in the same order build_plan always
+/// raised them.
 class StageTemplate {
  public:
   StageTemplate(const ir::Program& prog, std::vector<ir::BoundStencil> stages,
@@ -51,16 +54,28 @@ class StageTemplate {
   /// The config-dependent parts of one plan, decided before any copy of
   /// the template is made.
   struct Fit;
+  /// Why a config cannot run on the device.
+  struct Rejection;
 
   friend KernelPlan configure(const StageTemplate&, const KernelConfig&,
                               const gpumodel::DeviceSpec&);
+  friend std::optional<KernelPlan> try_configure(const StageTemplate&,
+                                                 const KernelConfig&,
+                                                 const gpumodel::DeviceSpec&);
   friend KernelPlan build_plan(const ir::Program&,
                                std::vector<ir::BoundStencil>,
                                const KernelConfig&,
                                const gpumodel::DeviceSpec&,
                                const BuildOptions&);
 
-  Fit fit(const KernelConfig& config, const gpumodel::DeviceSpec& dev) const;
+  /// Decide `config` into `fit`, or return why it cannot run: a rejection
+  /// is a value, not an exception, so the tuner pays nothing to reject.
+  std::optional<Rejection> fit(const KernelConfig& config,
+                               const gpumodel::DeviceSpec& dev,
+                               Fit& fit) const;
+  /// fit(), with a rejection thrown as PlanError.
+  Fit fit_or_throw(const KernelConfig& config,
+                   const gpumodel::DeviceSpec& dev) const;
   bool retimes(int stream_iter) const;
   const std::vector<std::vector<std::string>>& fold_groups() const;
 
@@ -80,11 +95,19 @@ class StageTemplate {
 /// Specialize a template to one candidate configuration: launch
 /// validity, the retiming and folding decisions, shared memory per block
 /// and the resource-rationing loop (Sections II-B, III). All of it runs on
-/// a copy of the placement alone; the template is copied into a plan only
-/// once the configuration has passed, so infeasible candidates throw
-/// PlanError without a plan copy. Thread-safe on a shared template.
+/// the placement alone; the template is copied into a plan only once the
+/// configuration has passed. Throws PlanError for a configuration the
+/// device cannot run. Thread-safe on a shared template.
 KernelPlan configure(const StageTemplate& tmpl, const KernelConfig& config,
                      const gpumodel::DeviceSpec& dev);
+
+/// configure() for a caller that expects most configurations to fail, the
+/// tuner: nullopt where configure() throws PlanError, and the same plan
+/// otherwise. A config-independent failure captured by the template is
+/// still thrown. Thread-safe on a shared template.
+std::optional<KernelPlan> try_configure(const StageTemplate& tmpl,
+                                        const KernelConfig& config,
+                                        const gpumodel::DeviceSpec& dev);
 
 /// Construct a fully-resolved KernelPlan for a (possibly fused) sequence
 /// of bound stencils: configure(StageTemplate(prog, stages, opts), ...),

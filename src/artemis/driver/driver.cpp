@@ -112,11 +112,11 @@ autotune::TuneResult tune_stages(const KernelRecipe& recipe, int time_tile,
     span.arg("shared_memory", Json(use_shmem));
   }
   // Analyze the stage list once; every candidate (and the baseline
-  // profile below) is a configure() of this template.
+  // profile below) is a configuration of this template.
   const codegen::StageTemplate tmpl(prog, bound.stages, bound.options);
   const autotune::PlanFactory factory = [&tmpl,
                                          &dev](const KernelConfig& cfg) {
-    return codegen::configure(tmpl, cfg, dev);
+    return codegen::try_configure(tmpl, cfg, dev);
   };
 
   KernelConfig seed =
@@ -145,7 +145,7 @@ autotune::TuneResult tune_stages(const KernelRecipe& recipe, int time_tile,
   if (strategy.profile_guided) {
     const telemetry::Span span("driver.baseline_profile", "pipeline");
     try {
-      const KernelPlan baseline = factory(seed);
+      const KernelPlan baseline = codegen::configure(tmpl, seed, dev);
       const auto report = profile::profile_plan(baseline, dev, params);
       const auto h = profile::derive_hints(report, /*iterative=*/false,
                                            use_shmem);

@@ -10,9 +10,12 @@ namespace artemis::gpumodel {
 
 namespace {
 
-/// Shared per-point terms: locals + operand + scheduling pressure.
-void per_point_terms(const std::vector<const std::vector<ir::Stmt>*>& lists,
-                     RegisterEstimate& est) {
+constexpr int kBaseRegisters = 20;
+
+/// The one definition of the per-point terms: locals + operand +
+/// scheduling pressure over every statement of `lists`.
+codegen::PointRegisters per_point_terms(
+    const std::vector<const std::vector<ir::Stmt>*>& lists) {
   std::set<std::string> locals;
   std::int64_t widest_stmt_reads = 0;
   std::int64_t flops = 0;
@@ -27,20 +30,31 @@ void per_point_terms(const std::vector<const std::vector<ir::Stmt>*>& lists,
       flops += ir::flop_count(*st.rhs);
     }
   }
-  est.locals = static_cast<int>(std::min<std::size_t>(locals.size(), 96));
-  est.operands = static_cast<int>(
+  codegen::PointRegisters terms;
+  terms.locals = static_cast<int>(std::min<std::size_t>(locals.size(), 96));
+  terms.operands = static_cast<int>(
       std::min<std::int64_t>((widest_stmt_reads + 1) / 2, 48));
-  est.scheduling =
+  terms.scheduling =
       static_cast<int>(std::min<std::int64_t>(flops / 8, 320));
+  return terms;
 }
 
 }  // namespace
 
+codegen::PointRegisters point_registers(
+    const std::vector<ir::BoundStencil>& stages) {
+  // Live scalar temporaries: all locals may be live simultaneously in the
+  // worst case (SW4-style kernels compute dozens of mu/la combinations
+  // before the accumulation statements consume them).
+  std::vector<const std::vector<ir::Stmt>*> lists;
+  lists.reserve(stages.size());
+  for (const auto& stage : stages) lists.push_back(&stage.stmts);
+  return per_point_terms(lists);
+}
+
 int estimate_registers_for_stmts(const std::vector<ir::Stmt>& stmts) {
-  RegisterEstimate est;
-  est.base = 20;
-  per_point_terms({&stmts}, est);
-  return est.base + est.locals + est.operands + est.scheduling;
+  const codegen::PointRegisters terms = per_point_terms({&stmts});
+  return kBaseRegisters + terms.locals + terms.operands + terms.scheduling;
 }
 
 RegisterEstimate estimate_registers(const codegen::KernelPlan& plan) {
@@ -48,14 +62,10 @@ RegisterEstimate estimate_registers(const codegen::KernelPlan& plan) {
   using codegen::UnrollStrategy;
 
   RegisterEstimate est;
-  est.base = 20;
-
-  // Live scalar temporaries: all locals may be live simultaneously in the
-  // worst case (SW4-style kernels compute dozens of mu/la combinations
-  // before the accumulation statements consume them).
-  std::vector<const std::vector<ir::Stmt>*> lists;
-  for (const auto& stage : plan.stages) lists.push_back(&stage.stmts);
-  per_point_terms(lists, est);
+  est.base = kBaseRegisters;
+  est.locals = plan.point_registers.locals;
+  est.operands = plan.point_registers.operands;
+  est.scheduling = plan.point_registers.scheduling;
 
   const bool streaming = plan.config.tiling != TilingScheme::Spatial3D;
   const std::int64_t uprod = plan.config.unroll_product();

@@ -36,7 +36,17 @@ struct RegisterEstimate {
 /// retimed accumulators and prefetch registers. Unrolling scales the
 /// per-point terms (blocked distribution reuses overlapping operands,
 /// cyclic does not -- Section III-A3).
+///
+/// The per-point terms come from plan.point_registers, derived once per
+/// stage list; only the plan's config-dependent terms are computed here.
 RegisterEstimate estimate_registers(const codegen::KernelPlan& plan);
+
+/// The per-point terms of the model over a stage list's statements: one
+/// register per distinct local, half a register per array read of the
+/// widest statement, and one per 8 FLOPs of the whole list, each capped.
+/// The plan builder stores the result in KernelPlan::point_registers.
+codegen::PointRegisters point_registers(
+    const std::vector<ir::BoundStencil>& stages);
 
 /// Lightweight per-point register demand for a raw statement list (no
 /// unroll / streaming / placement context). Used by the fission heuristic

@@ -5,6 +5,16 @@
 
 namespace artemis::robust {
 
+namespace {
+
+/// Infeasibility is deterministic: no retry, no quarantine debit.
+void mark_infeasible(RunOutcome& out) {
+  out.status = RunStatus::Infeasible;
+  out.reason = "infeasible";
+}
+
+}  // namespace
+
 const char* run_status_name(RunStatus s) {
   switch (s) {
     case RunStatus::Ok: return "ok";
@@ -21,13 +31,13 @@ RunOutcome CandidateRunner::run(const char* site, const std::string& key,
   RunOutcome out;
 
   if (!fault_injection_enabled()) {
-    // Fast path: one evaluation and one PlanError catch, no map lookups.
+    // Fast path: one evaluation, no map lookups.
     out.attempts = 1;
-    try {
-      out.eval = eval();
-    } catch (const PlanError& e) {
-      out.status = RunStatus::Infeasible;
-      out.reason = e.what();
+    std::optional<gpumodel::KernelEval> ev = eval();
+    if (ev) {
+      out.eval = std::move(*ev);
+    } else {
+      mark_infeasible(out);
     }
     return out;
   }
@@ -45,22 +55,21 @@ RunOutcome CandidateRunner::run(const char* site, const std::string& key,
     ++out.attempts;
     try {
       fault_point(site, key, attempt);
-      gpumodel::KernelEval ev = eval();
+      std::optional<gpumodel::KernelEval> ev = eval();
+      if (!ev) {
+        mark_infeasible(out);
+        return out;
+      }
       if (injected_timeout(site, key, attempt)) {
         throw EvalTimeout(str_cat("injected timeout at ", site, " [", key,
                                   "]"));
       }
       out.status = RunStatus::Ok;
-      out.eval = std::move(ev);
+      out.eval = std::move(*ev);
       {
         const std::lock_guard<std::mutex> lock(mu_);
         consecutive_failures_.erase(key);
       }
-      return out;
-    } catch (const PlanError& e) {
-      // Infeasibility is deterministic: no retry, no quarantine debit.
-      out.status = RunStatus::Infeasible;
-      out.reason = e.what();
       return out;
     } catch (const EvalTimeout& e) {
       last_failure = RunStatus::Timeout;

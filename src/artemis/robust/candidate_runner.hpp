@@ -3,6 +3,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -20,7 +21,7 @@ inline constexpr int kQuarantineThreshold = 3;
 /// Why one run() call ended the way it did.
 enum class RunStatus {
   Ok,           ///< eval holds a valid measurement
-  Infeasible,   ///< PlanError: the configuration can never run
+  Infeasible,   ///< the configuration can never run
   Crash,        ///< attempts exhausted on EvalCrash
   Timeout,      ///< attempts exhausted on EvalTimeout
   Quarantined,  ///< key was quarantined; evaluation skipped
@@ -41,22 +42,23 @@ struct RunOutcome {
 
 /// Runs candidate evaluations with bounded retries (kMaxAttempts) and
 /// per-key quarantine after kQuarantineThreshold consecutive failures.
-/// With fault injection off, run() is one evaluation inside one PlanError
-/// catch. One runner instance spans one tuning search so quarantine state
-/// persists across stages. run() may be called concurrently from the
-/// tuner's work-stealing shards: the failure/quarantine maps are
-/// mutex-protected, and because fault decisions are a pure hash of
-/// (seed, site, key, attempt), a key fails the same way on every thread
-/// — quarantine membership is independent of evaluation order.
+/// With fault injection off, run() is one evaluation. One runner instance
+/// spans one tuning search so quarantine state persists across stages.
+/// run() may be called concurrently from the tuner's work-stealing shards:
+/// the failure/quarantine maps are mutex-protected, and because fault
+/// decisions are a pure hash of (seed, site, key, attempt), a key fails
+/// the same way on every thread — quarantine membership is independent of
+/// evaluation order.
 class CandidateRunner {
  public:
-  using EvalFn = std::function<gpumodel::KernelEval()>;
+  /// One evaluation: nullopt when the candidate is infeasible.
+  using EvalFn = std::function<std::optional<gpumodel::KernelEval>()>;
 
   /// Evaluate one candidate identified by `key` (the journal/quarantine
   /// identity, e.g. the serialized config). `site` names the injection
   /// site consulted by the fault harness: an injected crash fails the
   /// attempt before `eval` runs, an injected timeout after it returns
-  /// (a PlanError from `eval` still wins). Thread-safe.
+  /// (an infeasible `eval` still wins). Thread-safe.
   RunOutcome run(const char* site, const std::string& key,
                  const EvalFn& eval);
 

@@ -383,7 +383,7 @@ CheckResult check_tuner_determinism(const ir::Program& prog,
   const codegen::StageTemplate tmpl(prog, transform::bind_all_calls(prog));
   const autotune::PlanFactory factory =
       [&](const codegen::KernelConfig& cfg) {
-        return codegen::configure(tmpl, cfg, dev);
+        return codegen::try_configure(tmpl, cfg, dev);
       };
   const codegen::KernelConfig seed_cfg =
       codegen::config_from_pragma(prog, prog.stencils.front().pragma, dims);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <functional>
 #include <optional>
 #include <set>
@@ -10,6 +12,7 @@
 #include "artemis/autotune/deep_tuning.hpp"
 #include "artemis/autotune/search.hpp"
 #include "artemis/codegen/plan_builder.hpp"
+#include "artemis/common/str.hpp"
 #include "artemis/dsl/parser.hpp"
 #include "artemis/gpumodel/registers.hpp"
 #include "artemis/stencils/benchmarks.hpp"
@@ -200,6 +203,18 @@ TEST_F(AutotuneTest, RegisterEscalationSkipsSpillingBudgets) {
   EXPECT_GE(r.best.config.max_registers, 128);
 }
 
+/// A Table I stencil's first tuned stage list, as the driver tunes it: an
+/// iterate block time-tiled at 1, otherwise every call fused.
+std::pair<ir::Program, std::vector<ir::BoundStencil>> paper_stages(
+    const std::string& name) {
+  const ir::Program prog = stencils::benchmark_program(name);
+  if (prog.steps[0].kind == ir::Step::Kind::Iterate) {
+    auto tt = transform::time_tile_iterate(prog, prog.steps[0], 1);
+    return {std::move(tt.augmented), std::move(tt.stages)};
+  }
+  return {prog, transform::bind_all_calls(prog)};
+}
+
 /// Residency of every array, as one comparable line.
 std::string placement_line(const codegen::KernelPlan& plan) {
   std::string line;
@@ -218,14 +233,6 @@ std::string placement_line(const codegen::KernelPlan& plan) {
 // stencil has a fold group). Fails as soon as planning or the estimate
 // starts to depend on the budget.
 TEST_F(AutotuneTest, PlansAndRegisterEstimatesIgnoreTheBudget) {
-  const auto paper = [](const std::string& name) {
-    const ir::Program prog = stencils::benchmark_program(name);
-    if (prog.steps[0].kind == ir::Step::Kind::Iterate) {
-      auto tt = transform::time_tile_iterate(prog, prog.steps[0], 1);
-      return std::make_pair(std::move(tt.augmented), std::move(tt.stages));
-    }
-    return std::make_pair(prog, transform::bind_all_calls(prog));
-  };
   const ir::Program folding = dsl::parse(R"(
     parameter L=64, M=64, N=64;
     iterator k, j, i;
@@ -239,7 +246,7 @@ TEST_F(AutotuneTest, PlansAndRegisterEstimatesIgnoreTheBudget) {
     copyout o;
   )");
   const std::vector<std::pair<ir::Program, std::vector<ir::BoundStencil>>>
-      cases = {paper("7pt-smoother"), paper("hypterm"),
+      cases = {paper_stages("7pt-smoother"), paper_stages("hypterm"),
                {folding, transform::bind_all_calls(folding)}};
 
   const std::vector<int> budgets = TuneOptions{}.register_budgets;
@@ -293,6 +300,125 @@ TEST_F(AutotuneTest, PlansAndRegisterEstimatesIgnoreTheBudget) {
   }
   EXPECT_TRUE(retimed) << "no retimed candidate: the check lost its reach";
   EXPECT_TRUE(folded) << "no folded candidate: the check lost its reach";
+}
+
+/// Array reads and FLOPs (binary ops, negations, intrinsic calls) of one
+/// expression tree.
+void count_tree(const ir::Expr& e, std::int64_t& reads, std::int64_t& flops) {
+  if (e.kind == ir::ExprKind::ArrayRef) ++reads;
+  if (e.kind == ir::ExprKind::Binary || e.kind == ir::ExprKind::Unary ||
+      e.kind == ir::ExprKind::Call) {
+    ++flops;
+  }
+  for (const auto& arg : e.args) count_tree(*arg, reads, flops);
+}
+
+/// The per-point register terms by the test's own walk of the statement
+/// trees: distinct locals, half the array reads of the widest statement,
+/// an eighth of the FLOPs, each under the model's cap.
+codegen::PointRegisters reference_point_registers(
+    const codegen::KernelPlan& plan) {
+  std::set<std::string> locals;
+  std::int64_t widest = 0, flops = 0;
+  for (const auto& stage : plan.stages) {
+    for (const auto& st : stage.stmts) {
+      if (st.declares_local) locals.insert(st.lhs_name);
+      std::int64_t reads = 0;
+      count_tree(*st.rhs, reads, flops);
+      widest = std::max(widest, reads);
+    }
+  }
+  codegen::PointRegisters terms;
+  terms.locals = static_cast<int>(std::min<std::size_t>(locals.size(), 96));
+  terms.operands = static_cast<int>(std::min<std::int64_t>((widest + 1) / 2,
+                                                           48));
+  terms.scheduling = static_cast<int>(std::min<std::int64_t>(flops / 8, 320));
+  return terms;
+}
+
+// The tuner's non-throwing build against the throwing one, over the
+// stage-1 grid of every Table I stencil (both tilings x blocks x unrolls,
+// retime and fold on): try_configure rejects exactly the configs
+// configure throws PlanError on, and otherwise yields configure's plan.
+// Every plan's register estimate, whose per-point terms the template
+// derives once per stage list, equals the estimate from the test's own
+// walk of the statement trees.
+TEST_F(AutotuneTest, TryConfigureMatchesConfigureOverTheStageOneGrid) {
+  const TuneOptions opts;
+  std::int64_t configs = 0, rejected = 0;
+  for (const auto& bench : stencils::paper_benchmarks()) {
+    const auto [prog, stages] = paper_stages(bench.name);
+    const codegen::StageTemplate tmpl(prog, stages);
+    const int dims = static_cast<int>(prog.iterators.size());
+    KernelConfig seed = codegen::config_from_pragma(prog,
+                                                    stages.front().pragma,
+                                                    dims);
+    seed.retime = true;
+    seed.fold = true;
+    for (const TilingScheme tiling :
+         {TilingScheme::Spatial3D, TilingScheme::StreamSerial}) {
+      const bool streaming = tiling != TilingScheme::Spatial3D;
+      for (const auto& block : candidate_blocks(dims, streaming, opts)) {
+        for (const auto& unroll : candidate_unrolls(dims, opts)) {
+          KernelConfig cfg = seed;
+          cfg.tiling = tiling;
+          if (streaming) cfg.stream_axis = dims - 1;
+          cfg.block = block;
+          cfg.unroll = unroll;
+          if (streaming) {
+            cfg.block[static_cast<std::size_t>(cfg.stream_axis)] = 1;
+          }
+          const std::string what =
+              str_cat(bench.name, " ", serialize_config(cfg));
+          ++configs;
+
+          const std::optional<codegen::KernelPlan> tried =
+              codegen::try_configure(tmpl, cfg, dev_);
+          std::optional<codegen::KernelPlan> thrown;
+          try {
+            thrown = codegen::configure(tmpl, cfg, dev_);
+          } catch (const PlanError&) {
+          }
+          ASSERT_EQ(tried.has_value(), thrown.has_value()) << what;
+          if (!tried) {
+            ++rejected;
+            continue;
+          }
+          EXPECT_EQ(serialize_config(tried->config),
+                    serialize_config(thrown->config))
+              << what;
+          EXPECT_EQ(tried->time_tile, thrown->time_tile) << what;
+          EXPECT_EQ(tried->retimed, thrown->retimed) << what;
+          EXPECT_EQ(tried->fold_groups, thrown->fold_groups) << what;
+          EXPECT_EQ(placement_line(*tried), placement_line(*thrown)) << what;
+          EXPECT_EQ(tried->shmem_bytes_per_block,
+                    thrown->shmem_bytes_per_block)
+              << what;
+
+          const codegen::PointRegisters ref =
+              reference_point_registers(*tried);
+          const gpumodel::RegisterEstimate est =
+              gpumodel::estimate_registers(*tried);
+          EXPECT_EQ(est.locals, ref.locals) << what;
+          EXPECT_EQ(est.operands, ref.operands) << what;
+          EXPECT_EQ(est.scheduling, ref.scheduling) << what;
+          // The total as the model composes it, from the reference terms.
+          const double total =
+              est.base +
+              (ref.locals + ref.operands + ref.scheduling - est.fold_savings) *
+                  est.unroll_scale +
+              est.stream_planes + est.accumulators + est.prefetch;
+          EXPECT_EQ(est.total, std::lround(std::clamp(total, 16.0, 1024.0)))
+              << what;
+          EXPECT_EQ(est.total, gpumodel::estimate_registers(*thrown).total)
+              << what;
+        }
+      }
+    }
+  }
+  // Both outcomes occur, so neither half of the check is vacuous.
+  EXPECT_GT(rejected, 0);
+  EXPECT_LT(rejected, configs);
 }
 
 TEST_F(AutotuneTest, InfeasibleSpaceThrowsPlanError) {

@@ -176,8 +176,8 @@ TEST(ParallelStressTest, QuarantineMembershipIsOrderIndependent) {
   // quarantine sets must agree, because membership only depends on the
   // per-key failure count, never on global evaluation order.
   // A plan whose site matches nothing arms the resilient path (without a
-  // plan run() takes the fast path, which only catches PlanError) and
-  // leaves every outcome to the evaluation itself.
+  // plan run() takes the fast path, which neither retries nor
+  // quarantines) and leaves every outcome to the evaluation itself.
   robust::FaultSpec spec;
   spec.crash_p = 1.0;
   spec.site = "no-such-site";

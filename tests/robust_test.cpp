@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -158,13 +159,13 @@ TEST_F(RobustTest, RunnerFastPathEvaluatesOnce) {
   EXPECT_EQ(calls, 1);
 }
 
-TEST_F(RobustTest, RunnerFastPathMapsPlanErrorToInfeasible) {
+TEST_F(RobustTest, RunnerFastPathMapsNoResultToInfeasible) {
   CandidateRunner runner;
   const auto out = runner.run(
       "tuner.eval", "k",
-      []() -> gpumodel::KernelEval { throw PlanError("no such mapping"); });
+      []() -> std::optional<gpumodel::KernelEval> { return std::nullopt; });
   EXPECT_EQ(out.status, RunStatus::Infeasible);
-  EXPECT_EQ(out.reason, "no such mapping");
+  EXPECT_EQ(out.reason, "infeasible");
 }
 
 TEST_F(RobustTest, RunnerRetriesTransientCrashes) {
@@ -188,12 +189,12 @@ TEST_F(RobustTest, RunnerDoesNotRetryDeterministicInfeasibility) {
   CandidateRunner runner;
   int calls = 0;
   const auto out = runner.run("tuner.eval", "k",
-                              [&]() -> gpumodel::KernelEval {
+                              [&]() -> std::optional<gpumodel::KernelEval> {
                                 ++calls;
-                                throw PlanError("deterministic");
+                                return std::nullopt;
                               });
   EXPECT_EQ(out.status, RunStatus::Infeasible);
-  EXPECT_EQ(calls, 1) << "PlanError must not burn retry attempts";
+  EXPECT_EQ(calls, 1) << "infeasibility must not burn retry attempts";
   EXPECT_EQ(runner.quarantined_count(), 0)
       << "infeasibility is not a quarantine debit";
 }
@@ -239,7 +240,7 @@ TEST_F(RobustTest, InjectedTimeoutsExhaustTheAttempts) {
   EXPECT_TRUE(out.quarantined_now);
 }
 
-TEST_F(RobustTest, InjectedTimeoutLosesToPlanError) {
+TEST_F(RobustTest, InjectedTimeoutLosesToInfeasibility) {
   // The timeout is raised after the evaluation returns, so an infeasible
   // configuration stays infeasible under any timeout draw.
   FaultSpec spec;
@@ -248,7 +249,7 @@ TEST_F(RobustTest, InjectedTimeoutLosesToPlanError) {
   CandidateRunner runner;
   const auto out = runner.run(
       "tuner.eval", "k",
-      []() -> gpumodel::KernelEval { throw PlanError("never fits"); });
+      []() -> std::optional<gpumodel::KernelEval> { return std::nullopt; });
   EXPECT_EQ(out.status, RunStatus::Infeasible);
   EXPECT_EQ(runner.quarantined_count(), 0);
 }
