@@ -67,15 +67,11 @@ std::optional<double> eval_tflops(const autotune::PlanFactory& factory,
                                   const codegen::KernelConfig& cfg,
                                   const gpumodel::DeviceSpec& dev,
                                   const gpumodel::ModelParams& params) {
-  try {
-    const std::optional<codegen::KernelPlan> plan = factory(cfg);
-    if (!plan) return std::nullopt;
-    const auto ev = gpumodel::evaluate(*plan, dev, params);
-    if (!ev.valid) return std::nullopt;
-    return ev.tflops();
-  } catch (const PlanError&) {
-    return std::nullopt;
-  }
+  codegen::KernelPlan plan;
+  if (!factory(cfg, plan)) return std::nullopt;
+  const auto ev = gpumodel::evaluate(plan, dev, params);
+  if (!ev.valid) return std::nullopt;
+  return ev.tflops();
 }
 
 std::string cell(std::optional<double> v) {
@@ -106,12 +102,9 @@ int main() {
           };
       // Register-constrained? Probe the baseline's estimate.
       bool reg_constrained = false;
-      try {
-        if (const auto plan =
-                factory(base_config(use_shmem, setup.iterative, false))) {
-          reg_constrained = gpumodel::estimate_registers(*plan).total > 128;
-        }
-      } catch (const PlanError&) {
+      codegen::KernelPlan probe;
+      if (factory(base_config(use_shmem, setup.iterative, false), probe)) {
+        reg_constrained = gpumodel::estimate_registers(probe).total > 128;
       }
       const codegen::KernelConfig base =
           base_config(use_shmem, setup.iterative, reg_constrained);

@@ -4,9 +4,7 @@
 // of exhaustive tuning vs <5h hierarchical for a spatial 7-point Jacobi;
 // in the simulator the honest unit is "configurations evaluated".
 
-#include <chrono>
 #include <cstdio>
-#include <thread>
 
 #include "artemis/autotune/search.hpp"
 #include "artemis/codegen/plan_builder.hpp"
@@ -15,15 +13,6 @@
 #include "artemis/stencils/benchmarks.hpp"
 
 using namespace artemis;
-
-namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-}  // namespace
 
 int main() {
   const auto dev = gpumodel::p100();
@@ -76,56 +65,6 @@ int main() {
       "Shape check: hierarchical tuning evaluates a small fraction of the\n"
       "exhaustive space (paper: <5h vs >24h wall clock with OpenTuner) while\n"
       "reaching performance within a few percent. Register-budget\n"
-      "escalation additionally skips spilling configurations outright.\n\n");
-
-  // Work-stealing evaluation: the exhaustive sweep (the largest candidate
-  // set here) at increasing --jobs. The plan must not move at all — the
-  // parallel tuner commits in enumeration order — only the wall clock
-  // should.
-  {
-    const auto prog = stencils::benchmark_program("rhs4center");
-    const ir::StencilCall call = prog.steps[0].call;
-    const autotune::PlanFactory factory =
-        [&prog, call, &dev](const codegen::KernelConfig& cfg) {
-          return codegen::build_plan_for_call(prog, call, cfg, dev);
-        };
-    codegen::KernelConfig seed;
-    seed.tiling = codegen::TilingScheme::StreamSerial;
-    seed.stream_axis = 2;
-
-    TablePrinter sweep({"jobs", "configs", "wall s", "configs/s", "speedup",
-                        "best config unchanged"});
-    double serial_s = 0;
-    std::string serial_best;
-    for (const int jobs : {1, 2, 4, 8}) {
-      autotune::TuneOptions opts;
-      opts.jobs = jobs;
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto r =
-          autotune::exhaustive_tune(factory, seed, dev, params, opts);
-      const double wall_s = seconds_since(t0);
-      const std::string best = autotune::serialize_config(r.best.config);
-      if (jobs == 1) {
-        serial_s = wall_s;
-        serial_best = best;
-      }
-      sweep.add_row({std::to_string(jobs),
-                     std::to_string(r.total_evaluated()),
-                     format_double(wall_s, 3),
-                     format_double(r.total_evaluated() / wall_s, 0),
-                     format_double(serial_s / wall_s, 2),
-                     best == serial_best ? "yes" : "NO"});
-    }
-    std::printf(
-        "Parallel candidate evaluation (--jobs sweep, rhs4center, "
-        "%u hardware threads)\n\n%s\n",
-        std::thread::hardware_concurrency(), sweep.to_string().c_str());
-    std::printf(
-        "Shape check: the chosen config is byte-identical at every\n"
-        "parallelism (deterministic ordered reduction; see\n"
-        "docs/ROBUSTNESS.md). configs/s scales with jobs up to the hardware\n"
-        "thread count; past it (or on a single-core machine) the sweep only\n"
-        "measures scheduling overhead.\n");
-  }
+      "escalation additionally skips spilling configurations outright.\n");
   return 0;
 }

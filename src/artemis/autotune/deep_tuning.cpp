@@ -56,10 +56,7 @@ DeepTuneResult deep_tune(const ir::Program& prog,
     // One template per fused version: each tuner evaluation only
     // configures it for its config.
     const codegen::StageTemplate tmpl(tt.augmented, tt.stages);
-    const PlanFactory factory = [&tmpl,
-                                 &dev](const codegen::KernelConfig& cfg) {
-      return codegen::try_configure(tmpl, cfg, dev);
-    };
+    const PlanFactory factory(tmpl, dev);
 
     codegen::KernelConfig seed;
     seed.tiling = codegen::TilingScheme::StreamSerial;

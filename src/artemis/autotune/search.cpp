@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <optional>
-#include <set>
 #include <sstream>
 
 #include "artemis/common/check.hpp"
-#include "artemis/common/parallel.hpp"
 #include "artemis/common/rng.hpp"
 #include "artemis/common/str.hpp"
 #include "artemis/robust/fault_injection.hpp"
@@ -120,11 +118,9 @@ struct EvalContext {
   }
 };
 
-/// What the thread-safe half of one candidate evaluation produced. The
-/// serial commit half (commit_candidate) turns it into telemetry
-/// counters, journal records, and leaderboard entries — always in
-/// enumeration order, so a parallel sweep is indistinguishable from the
-/// serial one.
+/// What the measurement half of one candidate evaluation produced. The
+/// commit half (commit_candidate) turns it into telemetry counters,
+/// journal records, and leaderboard entries, in enumeration order.
 struct EvalOutcome {
   std::string key;  ///< journal/quarantine key ("" when nothing needs it)
   bool replayed = false;                        ///< journal replay hit
@@ -133,66 +129,47 @@ struct EvalOutcome {
   std::optional<Candidate> candidate;  ///< success, either path
 };
 
-/// `factory(cfg)`, with a thrown PlanError read as infeasible like a
-/// returned nullopt.
-std::optional<KernelPlan> build(const PlanFactory& factory,
-                                const KernelConfig& cfg) {
-  try {
-    return factory(cfg);
-  } catch (const PlanError&) {
-    return std::nullopt;
-  }
-}
-
-/// A candidate's plan, built once before evaluation (nullopt when the
-/// config is infeasible), plus the register budgets escalation passed
-/// over.
-struct BuiltPlan {
-  std::optional<KernelPlan> plan;
-  int skipped_budgets = 0;
-};
-
-/// Register-budget escalation (Section V): build `cfg` once, then settle
-/// on the smallest budget, in escalation order, at which the register
-/// estimate does not spill, counting the budgets passed over; the largest
-/// budget when all spill. Neither the plan nor its estimate reads
-/// max_registers (autotune_test pins this), so one build and one estimate
-/// serve every budget. `cfg` and the plan leave with the settled budget;
-/// an infeasible config keeps the largest, as escalation always left it.
-BuiltPlan build_settled(const PlanFactory& factory, KernelConfig& cfg,
-                        const std::vector<int>& budgets) {
-  BuiltPlan built;
+/// Register-budget escalation (Section V): configure `cfg` into `plan`
+/// once, then settle on the smallest budget, in escalation order, at
+/// which the register estimate does not spill, counting the budgets
+/// passed over into `skipped`; the largest budget when all spill. Neither
+/// the plan nor its estimate reads max_registers (autotune_test pins
+/// this), so one build and one estimate serve every budget. `cfg` and the
+/// plan leave with the settled budget; an infeasible config (false) keeps
+/// the largest, as escalation always left it.
+bool build_settled(const PlanFactory& factory, KernelConfig& cfg,
+                   const std::vector<int>& budgets, KernelPlan& plan,
+                   int& skipped) {
   cfg.max_registers = budgets.front();
-  built.plan = build(factory, cfg);
-  if (!built.plan) {
+  if (!factory(cfg, plan)) {
     cfg.max_registers = budgets.back();
-    return built;
+    return false;
   }
-  const int regs = gpumodel::estimate_registers(*built.plan).total;
+  const int regs = gpumodel::estimate_registers(plan).total;
   cfg.max_registers = budgets.back();
   for (const int budget : budgets) {
     if (regs <= budget) {
       cfg.max_registers = budget;
       break;
     }
-    ++built.skipped_budgets;
+    ++skipped;
   }
-  built.plan->config.max_registers = cfg.max_registers;
-  return built;
+  plan.config.max_registers = cfg.max_registers;
+  return true;
 }
 
-/// The thread-safe half of try-one-configuration: journal lookup (the
+/// The measurement half of try-one-configuration: journal lookup (the
 /// replay map is immutable during a run) and the measurement of `plan`,
-/// the candidate's build, through the resilient runner. No telemetry
-/// counters, no journal writes, no TuneResult mutation — commit_candidate
-/// does those.
+/// the candidate's build (null when it is infeasible), through the
+/// resilient runner. No telemetry counters, no journal writes, no
+/// TuneResult mutation — commit_candidate does those.
 EvalOutcome evaluate_candidate(EvalContext& ctx, const KernelConfig& cfg,
-                               const std::optional<KernelPlan>& plan) {
+                               const KernelPlan* plan) {
   EvalOutcome eo;
   if (ctx.needs_key()) eo.key = ctx.candidate_key(cfg);
   // The model's evaluation of `cfg`; nullopt when it is infeasible.
   const auto evaluate = [&]() -> std::optional<gpumodel::KernelEval> {
-    if (!plan) return std::nullopt;
+    if (plan == nullptr) return std::nullopt;
     return gpumodel::evaluate(*plan, ctx.dev, ctx.params);
   };
 
@@ -229,7 +206,7 @@ EvalOutcome evaluate_candidate(EvalContext& ctx, const KernelConfig& cfg,
   return eo;
 }
 
-/// The serial half: fold one evaluation outcome into the counters, the
+/// The commit half: fold one evaluation outcome into the counters, the
 /// journal, and the result bookkeeping. Returns nullopt for infeasible
 /// candidates. Every call counts one enumerated candidate, and
 /// evaluated + infeasible partition the enumerated set (candidates lost
@@ -333,9 +310,9 @@ std::optional<Candidate> commit_candidate(EvalContext& ctx,
 /// nullopt when even the baseline cannot run.
 std::optional<Candidate> degrade_to_seed(EvalContext& ctx,
                                          const KernelConfig& seed) {
-  const std::optional<KernelPlan> plan = build(ctx.factory, seed);
-  if (!plan) return std::nullopt;
-  gpumodel::KernelEval ev = gpumodel::evaluate(*plan, ctx.dev, ctx.params);
+  KernelPlan plan;
+  if (!ctx.factory(seed, plan)) return std::nullopt;
+  gpumodel::KernelEval ev = gpumodel::evaluate(plan, ctx.dev, ctx.params);
   if (!ev.valid) return std::nullopt;
   Candidate c;
   c.config = seed;
@@ -400,9 +377,8 @@ class Leaderboard {
       entries_.push_back({std::move(key), std::move(c)});
     }
     // Ties on time are broken by the canonical config serialization: a
-    // total order, so the board never depends on insertion history and
-    // the parallel tuner's plan matches the serial one even among
-    // equal-cost candidates.
+    // total order, so the board never depends on insertion history, even
+    // among equal-cost candidates.
     std::sort(entries_.begin(), entries_.end(),
               [](const Entry& a, const Entry& b) {
                 if (a.cand.time_s != b.cand.time_s) {
@@ -413,9 +389,8 @@ class Leaderboard {
     if (entries_.size() > static_cast<std::size_t>(top_k_)) {
       entries_.resize(static_cast<std::size_t>(top_k_));
     }
-    // Leaderboard-change events ride the serial commit path, so the event
-    // stream is identical at any jobs value (search observability). A
-    // top_k of 0 keeps the board empty.
+    // Leaderboard-change events ride the commit path, in enumeration
+    // order (search observability). A top_k of 0 keeps the board empty.
     if (telemetry::enabled() && !entries_.empty()) {
       const Entry& best = entries_.front();
       if (!had_best || best.key != prev_best_key) {
@@ -442,105 +417,51 @@ class Leaderboard {
   std::vector<Entry> entries_;
 };
 
-/// Drive one sweep: evaluate `raw` configurations (optionally settling
-/// each one's register budget first) and fold them into the board and
-/// the counters with results identical to the serial loop for any pool.
+/// Drive one sweep: configure and evaluate `raw` configurations in
+/// enumeration order (optionally settling each one's register budget
+/// first) and commit each one (counters, journal, leaderboard) before the
+/// next. One plan serves the whole sweep: every candidate is configured
+/// into it in place, so a candidate copies no stage list. Committing
+/// candidate by candidate keeps the write-ahead journal growing
+/// incrementally, so a run killed mid-sweep still resumes from everything
+/// committed so far.
 ///
-/// The parallel path works in chunks of ~8 tasks per shard: a chunk is
-/// evaluated across the pool (the thread-safe half only), then committed
-/// in enumeration order (counters, journal, leaderboard). Chunking keeps
-/// the write-ahead journal growing incrementally, so a run killed
-/// mid-sweep still resumes from everything committed so far.
-///
-/// Duplicate candidate keys (possible in the random sweep and among
-/// stage-2 variants) are the one place evaluation order touches shared
-/// state: the retry/quarantine ledger couples a key's later evaluations
-/// to its earlier ones. Such repeats are deferred and evaluated at their
-/// commit slot — after every earlier duplicate has fully committed —
-/// which is exactly the serial schedule for them.
-void run_candidates(EvalContext& ctx, TaskPool* pool, const char* stage,
+/// Sweeps run on the calling thread at any TuneOptions::jobs: spread over
+/// a pool, the same sweep cost more CPU and no less wall time
+/// (docs/PERFORMANCE.md, "Tuner hot path").
+void run_candidates(EvalContext& ctx, const char* stage,
                     std::vector<KernelConfig> raw, bool escalate_budget,
                     int& evaluated_counter, Leaderboard& board) {
-  const std::int64_t n = static_cast<std::int64_t>(raw.size());
-  if (n == 0) return;
-
-  struct Prepared {
-    KernelConfig cfg;
+  KernelPlan plan;
+  for (KernelConfig& cfg : raw) {
     int spill_pruned = 0;
-    bool deferred = false;
-    EvalOutcome eo;
-  };
-
-  const auto prepare = [&](KernelConfig cfg, Prepared& p) {
-    BuiltPlan built;
+    bool feasible;
     if (escalate_budget) {
-      built = build_settled(ctx.factory, cfg, ctx.opts.register_budgets);
-      p.spill_pruned = built.skipped_budgets;
-      if (p.spill_pruned > 0) {
-        telemetry::counter_add("tuner.pruned_spill_budgets", p.spill_pruned);
+      feasible = build_settled(ctx.factory, cfg, ctx.opts.register_budgets,
+                               plan, spill_pruned);
+      if (spill_pruned > 0) {
+        telemetry::counter_add("tuner.pruned_spill_budgets", spill_pruned);
       }
     } else {
-      built.plan = build(ctx.factory, cfg);
+      feasible = ctx.factory(cfg, plan);
     }
-    p.eo = evaluate_candidate(ctx, cfg, built.plan);
-    p.cfg = std::move(cfg);
-  };
-
-  const auto commit = [&](Prepared& p) {
-    ctx.result->skipped_spilling += p.spill_pruned;
+    EvalOutcome eo = evaluate_candidate(ctx, cfg, feasible ? &plan : nullptr);
+    ctx.result->skipped_spilling += spill_pruned;
     ++evaluated_counter;
-    auto cand = commit_candidate(ctx, p.cfg, p.eo, stage, p.spill_pruned);
+    auto cand = commit_candidate(ctx, cfg, eo, stage, spill_pruned);
     if (!cand) {
       ++ctx.result->infeasible;
-      return;
+      continue;
     }
     board.insert(std::move(*cand));
-  };
-
-  if (pool == nullptr || pool->parallelism() < 2) {
-    for (auto& cfg : raw) {
-      Prepared p;
-      prepare(std::move(cfg), p);
-      commit(p);
-    }
-  } else {
-    // Mark key repeats for deferred (in-order) evaluation. Budget
-    // escalation never produces repeats — the pre-budget knobs already
-    // differ — and keys only exist when the resilience machinery needs
-    // them, so this pass is free on the default path.
-    std::vector<bool> deferred(static_cast<std::size_t>(n), false);
-    if (!escalate_budget && ctx.needs_key()) {
-      std::set<std::string> seen;
-      for (std::int64_t i = 0; i < n; ++i) {
-        const auto idx = static_cast<std::size_t>(i);
-        deferred[idx] = !seen.insert(ctx.candidate_key(raw[idx])).second;
-      }
-    }
-
-    const std::int64_t chunk = std::max<std::int64_t>(
-        1, static_cast<std::int64_t>(pool->parallelism()) * 8);
-    std::vector<Prepared> prepared;
-    for (std::int64_t lo = 0; lo < n; lo += chunk) {
-      const std::int64_t count = std::min(chunk, n - lo);
-      prepared.assign(static_cast<std::size_t>(count), Prepared{});
-      for (std::int64_t i = 0; i < count; ++i) {
-        prepared[static_cast<std::size_t>(i)].deferred =
-            deferred[static_cast<std::size_t>(lo + i)];
-      }
-      pool->for_each(count, [&](std::int64_t i) {
-        Prepared& p = prepared[static_cast<std::size_t>(i)];
-        if (p.deferred) return;
-        prepare(std::move(raw[static_cast<std::size_t>(lo + i)]), p);
-      });
-      for (std::int64_t i = 0; i < count; ++i) {
-        Prepared& p = prepared[static_cast<std::size_t>(i)];
-        if (p.deferred) {
-          prepare(std::move(raw[static_cast<std::size_t>(lo + i)]), p);
-        }
-        commit(p);
-      }
-    }
   }
+}
+
+/// The seed plan's dimensionality, or 3 when the seed is infeasible: the
+/// sweep then discovers feasibility.
+int seed_dims(const PlanFactory& factory, const KernelConfig& seed) {
+  KernelPlan plan;
+  return factory(seed, plan) ? plan.dims : 3;
 }
 
 /// Close a search into ctx.result: the board best first, or the degraded
@@ -590,14 +511,17 @@ void record_space_coverage(const char* stage, std::int64_t enumerated,
 
 }  // namespace
 
-int resolve_tune_jobs(const TuneOptions& opts) {
-  // Nested searches (inner sweeps already running on a pool worker) drop
-  // to 1 — one level of parallelism wins, and the inner serial path
-  // keeps determinism trivially.
-  if (TaskPool::inside_worker()) return 1;
-  if (opts.jobs == 0) return default_jobs();
-  return std::max(1, opts.jobs);
-}
+PlanFactory::PlanFactory(const codegen::StageTemplate& tmpl,
+                         const gpumodel::DeviceSpec& dev)
+    : configure_([&tmpl, dev](const KernelConfig& cfg, KernelPlan& plan) {
+        try {
+          return codegen::try_configure(tmpl, cfg, dev, plan);
+        } catch (const PlanError&) {
+          // The template's captured config-independent failure: every
+          // candidate is infeasible, as for a callable that throws.
+          return false;
+        }
+      }) {}
 
 std::vector<std::array<int, 3>> candidate_blocks(int dims, bool streaming,
                                                  const TuneOptions& opts) {
@@ -665,15 +589,8 @@ TuneResult hierarchical_tune(const PlanFactory& factory,
   TuneResult result;
   Leaderboard board(opts.top_k);
   EvalContext ctx(factory, dev, params, opts, &result);
-  const int jobs = resolve_tune_jobs(opts);
-  std::optional<TaskPool> pool_storage;
-  if (jobs > 1) pool_storage.emplace(jobs);
-  TaskPool* pool = pool_storage ? &*pool_storage : nullptr;
 
-  // Infer dimensionality from the seed plan; keep the default when the
-  // seed is infeasible, and let the sweep below discover feasibility.
-  int dims = 3;
-  if (const auto plan = build(factory, seed)) dims = plan->dims;
+  const int dims = seed_dims(factory, seed);
 
   std::vector<TilingScheme> tilings = {seed.tiling};
   if (opts.explore_tiling && dims >= 2) {
@@ -701,7 +618,7 @@ TuneResult hierarchical_tune(const PlanFactory& factory,
       }
     }
     const std::int64_t enumerated = static_cast<std::int64_t>(raw.size());
-    run_candidates(ctx, pool, "stage1", std::move(raw),
+    run_candidates(ctx, "stage1", std::move(raw),
                    /*escalate_budget=*/true, result.evaluated_stage1, board);
     if (telemetry::enabled()) {
       const std::int64_t nsizes = pow2_count(opts.min_block, opts.max_block);
@@ -754,7 +671,7 @@ TuneResult hierarchical_tune(const PlanFactory& factory,
   }
   record_space_coverage("stage2", static_cast<std::int64_t>(variants.size()),
                         static_cast<std::int64_t>(variants.size()));
-  run_candidates(ctx, pool, "stage2", std::move(variants),
+  run_candidates(ctx, "stage2", std::move(variants),
                  /*escalate_budget=*/false, result.evaluated_stage2, board);
 
   finish_search(ctx, seed, board, "autotuner found no feasible configuration");
@@ -769,13 +686,8 @@ TuneResult exhaustive_tune(const PlanFactory& factory,
   TuneResult result;
   Leaderboard board(opts.top_k);
   EvalContext ctx(factory, dev, params, opts, &result);
-  const int jobs = resolve_tune_jobs(opts);
-  std::optional<TaskPool> pool_storage;
-  if (jobs > 1) pool_storage.emplace(jobs);
-  TaskPool* pool = pool_storage ? &*pool_storage : nullptr;
 
-  int dims = 3;
-  if (const auto plan = build(factory, seed)) dims = plan->dims;
+  const int dims = seed_dims(factory, seed);
 
   std::vector<TilingScheme> tilings = {seed.tiling};
   if (opts.explore_tiling && dims >= 2) {
@@ -831,7 +743,7 @@ TuneResult exhaustive_tune(const PlanFactory& factory,
     record_space_coverage("exhaustive", static_cast<std::int64_t>(raw.size()),
                           unpruned);
   }
-  run_candidates(ctx, pool, "exhaustive", std::move(raw),
+  run_candidates(ctx, "exhaustive", std::move(raw),
                  /*escalate_budget=*/false, result.evaluated_stage1, board);
 
   finish_search(ctx, seed, board, "exhaustive tuner found no feasible configuration");
@@ -847,21 +759,16 @@ TuneResult random_tune(const PlanFactory& factory,
   TuneResult result;
   Leaderboard board(opts.top_k);
   EvalContext ctx(factory, dev, params, opts, &result);
-  const int jobs = resolve_tune_jobs(opts);
-  std::optional<TaskPool> pool_storage;
-  if (jobs > 1) pool_storage.emplace(jobs);
-  TaskPool* pool = pool_storage ? &*pool_storage : nullptr;
   Rng rng(rng_seed);
 
-  int dims = 3;
-  if (const auto plan = build(factory, seed)) dims = plan->dims;
+  const int dims = seed_dims(factory, seed);
 
   auto pow2 = [&rng](int lo_exp, int hi_exp) {
     return 1 << rng.uniform_int(lo_exp, hi_exp);
   };
 
-  // Draw the whole sample serially first: the RNG stream, and therefore
-  // the candidate list, is identical for any jobs value.
+  // Draw the whole sample first: the RNG stream, and therefore the
+  // candidate list, depends on the seed alone.
   std::vector<KernelConfig> raw;
   raw.reserve(static_cast<std::size_t>(std::max(0, budget)));
   for (int i = 0; i < budget; ++i) {
@@ -888,7 +795,7 @@ TuneResult random_tune(const PlanFactory& factory,
   }
   record_space_coverage("random", static_cast<std::int64_t>(raw.size()),
                         static_cast<std::int64_t>(std::max(0, budget)));
-  run_candidates(ctx, pool, "random", std::move(raw),
+  run_candidates(ctx, "random", std::move(raw),
                  /*escalate_budget=*/false, result.evaluated_stage1, board);
   finish_search(ctx, seed, board, "random tuner found no feasible configuration");
   return result;

@@ -1,8 +1,10 @@
 #pragma once
 
+#include <concepts>
 #include <functional>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "artemis/codegen/plan.hpp"
@@ -27,15 +29,57 @@ constexpr int kTunerVersion = 1;
 /// KernelConfig field must show in it.
 std::string serialize_config(const codegen::KernelConfig& cfg);
 
-/// Builds a plan for a candidate configuration, or nullopt when the
-/// configuration is infeasible. Implementations wrap codegen::try_configure
-/// with the appropriate stage template; a factory that throws PlanError
-/// (one wrapping build_plan, say) marks the configuration infeasible too.
+/// Configures candidate configurations into plans. A sweep keeps one plan
+/// and passes it to every candidate it prices.
+///
+/// Built from a stage template, the factory configures each candidate
+/// into that plan in place (codegen::try_configure): only the
+/// config-dependent members are rewritten, and the template is copied
+/// only into an empty plan. Built from a callable that returns whole
+/// plans (a KernelPlan or an optional one), it moves each result into the
+/// plan, and a nullopt reads as infeasible. In both forms a thrown
+/// PlanError reads as infeasible too: the template's captured
+/// config-independent failure, or a callable wrapping build_plan.
+///
 /// The plan may not depend on cfg.max_registers beyond carrying it in
 /// plan.config: register escalation builds each candidate once and sets
 /// the settled budget on that plan.
-using PlanFactory = std::function<std::optional<codegen::KernelPlan>(
-    const codegen::KernelConfig&)>;
+class PlanFactory {
+ public:
+  /// `tmpl` must outlive the factory.
+  PlanFactory(const codegen::StageTemplate& tmpl,
+              const gpumodel::DeviceSpec& dev);
+
+  template <typename F>
+    requires(!std::same_as<std::remove_cvref_t<F>, PlanFactory> &&
+             std::is_invocable_r_v<std::optional<codegen::KernelPlan>,
+                                   const F&, const codegen::KernelConfig&>)
+  PlanFactory(F build)  // implicit: a lambda passes where a factory goes
+      : configure_([build = std::move(build)](
+                       const codegen::KernelConfig& cfg,
+                       codegen::KernelPlan& plan) {
+          try {
+            std::optional<codegen::KernelPlan> built = build(cfg);
+            if (!built) return false;
+            plan = std::move(*built);
+            return true;
+          } catch (const PlanError&) {
+            return false;
+          }
+        }) {}
+
+  /// Configure `cfg` into `plan`, which is empty or was last filled by
+  /// this factory; false when `cfg` is infeasible (`plan` then holds no
+  /// configuration).
+  bool operator()(const codegen::KernelConfig& cfg,
+                  codegen::KernelPlan& plan) const {
+    return configure_(cfg, plan);
+  }
+
+ private:
+  std::function<bool(const codegen::KernelConfig&, codegen::KernelPlan&)>
+      configure_;
+};
 
 /// Search-space pruning rules (Section V): powers of two, block dims in
 /// [4, 256], unroll bounded by 8 (bandwidth-bound) or 4 (compute-bound).
@@ -71,15 +115,10 @@ struct TuneOptions {
   /// identical configs tuned for different stage lists, memory versions
   /// or fusion degrees never collide.
   std::string journal_scope;
-  /// Evaluation parallelism: how many work-stealing shards candidate
-  /// evaluations are spread across. 1 = the serial path (library
-  /// default); 0 = the process default (set_default_jobs / hardware
-  /// concurrency). Any value returns byte-identical results to jobs=1:
-  /// candidates are evaluated in parallel but committed — telemetry,
-  /// journal records, leaderboard insertion — serially in enumeration
-  /// order, with leaderboard ties broken by the canonical config
-  /// serialization. Nested searches (e.g. deep tuning's inner sweeps
-  /// running on pool workers) automatically drop to jobs=1.
+  /// Accepted and ignored: every search runs its sweeps on the calling
+  /// thread, so any value returns the same result. Spread over a pool, a
+  /// sweep cost more CPU and no less wall time (docs/PERFORMANCE.md,
+  /// "Tuner hot path").
   int jobs = 1;
 };
 
@@ -143,11 +182,6 @@ TuneResult random_tune(const PlanFactory& factory,
                        const gpumodel::ModelParams& params,
                        const TuneOptions& opts, int budget,
                        std::uint64_t rng_seed = 0x7777);
-
-/// The evaluation parallelism a search with these options actually runs
-/// at: opts.jobs, with 0 resolved to the process default and nested
-/// searches (already on a pool worker) forced to 1.
-int resolve_tune_jobs(const TuneOptions& opts);
 
 /// Enumerate the pruned block shapes for a given dimensionality.
 std::vector<std::array<int, 3>> candidate_blocks(int dims, bool streaming,

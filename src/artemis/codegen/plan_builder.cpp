@@ -380,14 +380,19 @@ struct StageTemplate::Fit {
   std::map<std::string, Placement> placement;
   std::int64_t shmem_bytes = 0;
 
-  KernelPlan into(KernelPlan plan, const KernelConfig& config) && {
+  /// Write every config-dependent member into `plan`, which holds the
+  /// template's base or an earlier configuration of the same template.
+  void into(KernelPlan& plan, const KernelConfig& config) && {
     plan.config = config;
     plan.time_tile = config.time_tile;
     plan.retimed = retimed;
-    if (fold_groups != nullptr) plan.fold_groups = *fold_groups;
+    if (fold_groups != nullptr) {
+      plan.fold_groups = *fold_groups;
+    } else {
+      plan.fold_groups.clear();
+    }
     plan.placement = std::move(placement);
     plan.shmem_bytes_per_block = shmem_bytes;
-    return plan;
   }
 };
 
@@ -557,15 +562,25 @@ StageTemplate::Fit StageTemplate::fit_or_throw(
 KernelPlan configure(const StageTemplate& tmpl, const KernelConfig& config,
                      const gpumodel::DeviceSpec& dev) {
   // fit() runs to completion before the template is copied.
-  return tmpl.fit_or_throw(config, dev).into(tmpl.base_, config);
+  StageTemplate::Fit fit = tmpl.fit_or_throw(config, dev);
+  KernelPlan plan = tmpl.base_;
+  std::move(fit).into(plan, config);
+  return plan;
 }
 
-std::optional<KernelPlan> try_configure(const StageTemplate& tmpl,
-                                        const KernelConfig& config,
-                                        const gpumodel::DeviceSpec& dev) {
+bool try_configure(const StageTemplate& tmpl, const KernelConfig& config,
+                   const gpumodel::DeviceSpec& dev, KernelPlan& plan) {
   StageTemplate::Fit fit;
-  if (tmpl.fit(config, dev, fit)) return std::nullopt;
-  return std::move(fit).into(tmpl.base_, config);
+  // fit() overwrites the placement from the base; starting from the plan's
+  // own map lets the copy reuse its nodes, and a rejection hands them back.
+  fit.placement = std::move(plan.placement);
+  if (tmpl.fit(config, dev, fit)) {
+    plan.placement = std::move(fit.placement);
+    return false;
+  }
+  if (plan.stages.empty()) plan = tmpl.base_;
+  std::move(fit).into(plan, config);
+  return true;
 }
 
 KernelPlan build_plan(const ir::Program& prog,
@@ -574,7 +589,10 @@ KernelPlan build_plan(const ir::Program& prog,
                       const gpumodel::DeviceSpec& dev,
                       const BuildOptions& opts) {
   StageTemplate tmpl(prog, std::move(stages), opts);
-  return tmpl.fit_or_throw(config, dev).into(std::move(tmpl.base_), config);
+  StageTemplate::Fit fit = tmpl.fit_or_throw(config, dev);
+  KernelPlan plan = std::move(tmpl.base_);
+  std::move(fit).into(plan, config);
+  return plan;
 }
 
 KernelPlan build_plan_for_call(const ir::Program& prog,

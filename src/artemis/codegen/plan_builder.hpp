@@ -59,9 +59,8 @@ class StageTemplate {
 
   friend KernelPlan configure(const StageTemplate&, const KernelConfig&,
                               const gpumodel::DeviceSpec&);
-  friend std::optional<KernelPlan> try_configure(const StageTemplate&,
-                                                 const KernelConfig&,
-                                                 const gpumodel::DeviceSpec&);
+  friend bool try_configure(const StageTemplate&, const KernelConfig&,
+                            const gpumodel::DeviceSpec&, KernelPlan&);
   friend KernelPlan build_plan(const ir::Program&,
                                std::vector<ir::BoundStencil>,
                                const KernelConfig&,
@@ -101,13 +100,20 @@ class StageTemplate {
 KernelPlan configure(const StageTemplate& tmpl, const KernelConfig& config,
                      const gpumodel::DeviceSpec& dev);
 
-/// configure() for a caller that expects most configurations to fail, the
-/// tuner: nullopt where configure() throws PlanError, and the same plan
-/// otherwise. A config-independent failure captured by the template is
-/// still thrown. Thread-safe on a shared template.
-std::optional<KernelPlan> try_configure(const StageTemplate& tmpl,
-                                        const KernelConfig& config,
-                                        const gpumodel::DeviceSpec& dev);
+/// configure() into a plan the caller keeps, for a caller that configures
+/// many candidates of one template and expects most to fail: the tuner.
+/// `plan` must be empty (default-constructed) or hold an earlier
+/// configuration of `tmpl`. An empty plan gets a copy of the template;
+/// otherwise only the config-dependent members are rewritten (config,
+/// time_tile, retimed, fold_groups, placement, shmem_bytes_per_block), so
+/// a feasible candidate costs no copy of the stage list or its analysis.
+/// On success `plan` equals configure()'s plan. Returns false where
+/// configure() throws PlanError; `plan` then holds no configuration, but
+/// may be passed in again. A config-independent failure captured by the
+/// template is still thrown. Thread-safe on a shared template, with one
+/// plan per thread.
+bool try_configure(const StageTemplate& tmpl, const KernelConfig& config,
+                   const gpumodel::DeviceSpec& dev, KernelPlan& plan);
 
 /// Construct a fully-resolved KernelPlan for a (possibly fused) sequence
 /// of bound stencils: configure(StageTemplate(prog, stages, opts), ...),

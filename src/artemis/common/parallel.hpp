@@ -8,9 +8,9 @@ namespace artemis {
 
 /// --- process-wide parallelism default ---------------------------------------
 ///
-/// The `--jobs` knob: the tuner's shards and the simulator's sweeps
-/// (parallel_for with jobs 0) size their pools from it. 0 means "resolve
-/// to hardware concurrency"; callers that want the serial path pass 1.
+/// The `--jobs` knob: the simulator's sweeps (parallel_for with jobs 0)
+/// size their pools from it. 0 means "resolve to hardware concurrency";
+/// callers that want the serial path pass 1.
 
 void set_default_jobs(int jobs);
 /// The resolved default: always >= 1.
@@ -22,15 +22,14 @@ int default_jobs();
 /// counts the calling thread, so TaskPool(8) spawns 7 worker threads and
 /// for_each() runs with 8 concurrent participants. Workers park on a
 /// condition variable between jobs, so a pool can span many for_each()
-/// calls (e.g. both stages of one tuning search) without re-spawning
-/// threads.
+/// calls without re-spawning threads.
 ///
 /// Scheduling: each participant owns a bounded deque of task indices,
 /// refilled in batches from a shared range cursor; a participant whose
 /// queue and the shared range are both empty steals from the back of a
 /// victim's queue. Task *completion order* is therefore nondeterministic —
-/// callers that need deterministic results (the autotuner) must reduce
-/// results by task index, not by completion order.
+/// callers that need deterministic results must reduce results by task
+/// index, not by completion order.
 ///
 /// Nesting: for_each() called from inside a pool worker (any pool) runs
 /// the loop inline and serially. One level of parallelism wins; inner

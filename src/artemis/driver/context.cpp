@@ -119,10 +119,9 @@ TuneOutcome ArtemisContext::tune(const std::string& source,
     }
   }
 
-  // Per-tune strategy copy: the journal pointer and jobs knob below are
-  // request-local, so concurrent tunes never share mutable state.
+  // Per-tune strategy copy: the journal pointer below is request-local,
+  // so concurrent tunes never share mutable state.
   Strategy strat = opts_.strategy;
-  strat.tune.jobs = opts_.jobs;
 
   // Crash-safe evaluation journal, scoped to this request.
   robust::TuningJournal journal(*vfs_);

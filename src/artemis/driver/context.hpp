@@ -22,8 +22,10 @@ struct ContextOptions {
   gpumodel::DeviceSpec device = gpumodel::p100();
   gpumodel::ModelParams params;
   Strategy strategy = artemis_strategy();
-  /// Tuning parallelism handed to the tuner (TuneOptions.jobs semantics:
-  /// 0 = the process default, any value yields byte-identical plans).
+  /// The parallelism the context reports (run report `parallel.jobs`,
+  /// service stats `jobs`); 0 = the process default. The tuner runs its
+  /// sweeps serially at any value, and the simulator sizes its pools from
+  /// the process default (set_default_jobs).
   int jobs = 0;
   /// Filesystem every durable artifact (store, journal) writes through.
   /// nullptr = the real filesystem.
@@ -141,7 +143,7 @@ class ArtemisContext {
   const ContextOptions& options() const { return opts_; }
   const gpumodel::DeviceSpec& device() const { return opts_.device; }
   const Strategy& strategy() const { return opts_.strategy; }
-  /// The tuner parallelism tune() runs at (0 resolved).
+  /// ContextOptions::jobs with 0 resolved to the process default.
   int resolved_jobs() const;
   storage::Vfs& vfs() const { return *vfs_; }
   /// nullptr when the context has no durable store.

@@ -114,10 +114,7 @@ autotune::TuneResult tune_stages(const KernelRecipe& recipe, int time_tile,
   // Analyze the stage list once; every candidate (and the baseline
   // profile below) is a configuration of this template.
   const codegen::StageTemplate tmpl(prog, bound.stages, bound.options);
-  const autotune::PlanFactory factory = [&tmpl,
-                                         &dev](const KernelConfig& cfg) {
-    return codegen::try_configure(tmpl, cfg, dev);
-  };
+  const autotune::PlanFactory factory(tmpl, dev);
 
   KernelConfig seed =
       codegen::config_from_pragma(prog, bound.stages.front().pragma,

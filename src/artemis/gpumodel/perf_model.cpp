@@ -4,9 +4,9 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <string>
 
 #include "artemis/common/check.hpp"
-#include "artemis/common/str.hpp"
 
 namespace artemis::gpumodel {
 
@@ -185,8 +185,10 @@ KernelEval evaluate(const KernelPlan& plan, const DeviceSpec& dev,
   }
   if (threads_pb > dev.max_threads_per_block) {
     ev.valid = false;
-    ev.invalid_reason = str_cat("perspective-expanded block of ", threads_pb,
-                                " threads exceeds device limit");
+    // Built without a stream: the tuner prices thousands of such launches.
+    ev.invalid_reason = "perspective-expanded block of " +
+                        std::to_string(threads_pb) +
+                        " threads exceeds device limit";
     ev.time_s = std::numeric_limits<double>::infinity();
     return ev;
   }
@@ -203,8 +205,8 @@ KernelEval evaluate(const KernelPlan& plan, const DeviceSpec& dev,
   ev.occupancy = compute_occupancy(dev, res);
   if (ev.occupancy.fraction <= 0.0) {
     ev.valid = false;
-    ev.invalid_reason =
-        str_cat("launch cannot run: ", limiter_name(ev.occupancy.limiter));
+    ev.invalid_reason = std::string("launch cannot run: ") +
+                        limiter_name(ev.occupancy.limiter);
     ev.time_s = std::numeric_limits<double>::infinity();
     return ev;
   }

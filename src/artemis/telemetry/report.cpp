@@ -195,10 +195,9 @@ Json build_run_report(const ReportMeta& meta,
   storage.set("compactions", counter("plan_store.compactions"));
   report.set("storage", std::move(storage));
 
-  // Parallel-tuning accounting: the shard count the driver requested and
-  // what the work-stealing pools actually did. The tuning outcome is
-  // independent of these numbers by construction (ordered commit); they
-  // exist to watch utilization, not correctness.
+  // Parallel accounting: the --jobs value the run was driven with and
+  // what the simulator's work-stealing pools did (the tuner runs its
+  // sweeps serially). They exist to watch utilization, not correctness.
   Json parallel = Json::object();
   parallel.set("jobs", meta.jobs);
   parallel.set("pools", counter("parallel.pools"));

@@ -18,7 +18,7 @@ struct ReportMeta {
   std::string source;    ///< DSL path (or a symbolic name)
   std::string strategy;  ///< generator strategy name
   std::string device;    ///< device model name
-  int jobs = 1;          ///< tuning parallelism the run was driven with
+  int jobs = 1;          ///< the --jobs value the run was driven with
 };
 
 /// Structured form of one kernel configuration (the autotuner knobs).

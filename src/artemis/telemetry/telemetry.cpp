@@ -97,10 +97,10 @@ void Collector::record(Event ev) {
   buf->events.push_back(std::move(ev));
 }
 
-void Collector::counter_add(const std::string& name, std::int64_t delta) {
+void Collector::counter_add(std::string_view name, std::int64_t delta) {
   if (!enabled()) return;
   const std::lock_guard<std::mutex> lock(mu_);
-  counters_[name] += delta;
+  counters_[std::string(name)] += delta;
 }
 
 std::vector<Event> Collector::snapshot() const {
@@ -165,7 +165,7 @@ void instant(const char* name, const char* cat, std::vector<Attr> args) {
   c.record(std::move(ev));
 }
 
-void counter_add(const std::string& name, std::int64_t delta) {
+void counter_add(std::string_view name, std::int64_t delta) {
   Collector::global().counter_add(name, delta);
 }
 

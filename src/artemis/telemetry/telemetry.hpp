@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "artemis/common/json.hpp"
@@ -62,8 +63,9 @@ class Collector {
   /// Append one event from the calling thread. No-op when disabled.
   void record(Event ev);
 
-  /// Accumulate a named counter. No-op when disabled.
-  void counter_add(const std::string& name, std::int64_t delta);
+  /// Accumulate a named counter. No-op when disabled: the key is built
+  /// only when telemetry is on.
+  void counter_add(std::string_view name, std::int64_t delta);
 
   /// Merge every thread buffer into one stream sorted by start timestamp.
   std::vector<Event> snapshot() const;
@@ -119,6 +121,6 @@ void instant(const char* name, const char* cat = "pipeline",
              std::vector<Attr> args = {});
 
 /// Accumulate a named counter on the global collector. No-op when off.
-void counter_add(const std::string& name, std::int64_t delta = 1);
+void counter_add(std::string_view name, std::int64_t delta = 1);
 
 }  // namespace artemis::telemetry

@@ -381,10 +381,7 @@ CheckResult check_tuner_determinism(const ir::Program& prog,
   const gpumodel::ModelParams params;
   const int dims = static_cast<int>(prog.iterators.size());
   const codegen::StageTemplate tmpl(prog, transform::bind_all_calls(prog));
-  const autotune::PlanFactory factory =
-      [&](const codegen::KernelConfig& cfg) {
-        return codegen::try_configure(tmpl, cfg, dev);
-      };
+  const autotune::PlanFactory factory(tmpl, dev);
   const codegen::KernelConfig seed_cfg =
       codegen::config_from_pragma(prog, prog.stencils.front().pragma, dims);
 

@@ -15,7 +15,9 @@
 #include "artemis/common/str.hpp"
 #include "artemis/dsl/parser.hpp"
 #include "artemis/gpumodel/registers.hpp"
+#include "artemis/ir/analysis.hpp"
 #include "artemis/stencils/benchmarks.hpp"
+#include "artemis/telemetry/telemetry.hpp"
 #include "artemis/transform/fusion.hpp"
 #include "test_programs.hpp"
 
@@ -225,15 +227,10 @@ std::string placement_line(const codegen::KernelPlan& plan) {
   return line;
 }
 
-// The precondition of one-build register escalation: neither a plan nor
-// its register estimate reads max_registers, so the plan a candidate
-// builds once serves every budget. Checked on every candidate the
-// hierarchical tuner builds, at every budget, for two paper stencils with
-// retimed candidates and for a stencil whose candidates fold (no Table I
-// stencil has a fold group). Fails as soon as planning or the estimate
-// starts to depend on the budget.
-TEST_F(AutotuneTest, PlansAndRegisterEstimatesIgnoreTheBudget) {
-  const ir::Program folding = dsl::parse(R"(
+/// A stencil whose candidates fold: a*b is read at four offsets, so the
+/// two inputs form a fold group.
+ir::Program folding_program() {
+  return dsl::parse(R"(
     parameter L=64, M=64, N=64;
     iterator k, j, i;
     double a[L,M,N], b[L,M,N], o[L,M,N];
@@ -245,6 +242,17 @@ TEST_F(AutotuneTest, PlansAndRegisterEstimatesIgnoreTheBudget) {
     s (o, a, b);
     copyout o;
   )");
+}
+
+// The precondition of one-build register escalation: neither a plan nor
+// its register estimate reads max_registers, so the plan a candidate
+// builds once serves every budget. Checked on every candidate the
+// hierarchical tuner builds, at every budget, for two paper stencils with
+// retimed candidates and for a stencil whose candidates fold (no Table I
+// stencil has a fold group). Fails as soon as planning or the estimate
+// starts to depend on the budget.
+TEST_F(AutotuneTest, PlansAndRegisterEstimatesIgnoreTheBudget) {
+  const ir::Program folding = folding_program();
   const std::vector<std::pair<ir::Program, std::vector<ir::BoundStencil>>>
       cases = {paper_stages("7pt-smoother"), paper_stages("hypterm"),
                {folding, transform::bind_all_calls(folding)}};
@@ -336,18 +344,94 @@ codegen::PointRegisters reference_point_registers(
   return terms;
 }
 
-// The tuner's non-throwing build against the throwing one, over the
-// stage-1 grid of every Table I stencil (both tilings x blocks x unrolls,
-// retime and fold on): try_configure rejects exactly the configs
-// configure throws PlanError on, and otherwise yields configure's plan.
-// Every plan's register estimate, whose per-point terms the template
-// derives once per stage list, equals the estimate from the test's own
-// walk of the statement trees.
+/// Every member of `got`, a plan configured in place, against `want`,
+/// configure()'s fresh plan. Statements are compared by expression
+/// identity: both plans come from one template.
+void expect_same_plan(const codegen::KernelPlan& got,
+                      const codegen::KernelPlan& want,
+                      const std::string& what) {
+  EXPECT_EQ(got.name, want.name) << what;
+  ASSERT_EQ(got.stages.size(), want.stages.size()) << what;
+  for (std::size_t s = 0; s < got.stages.size(); ++s) {
+    EXPECT_EQ(got.stages[s].name, want.stages[s].name) << what;
+    ASSERT_EQ(got.stages[s].stmts.size(), want.stages[s].stmts.size())
+        << what;
+    for (std::size_t t = 0; t < got.stages[s].stmts.size(); ++t) {
+      EXPECT_EQ(got.stages[s].stmts[t].rhs, want.stages[s].stmts[t].rhs)
+          << what;
+    }
+  }
+  const ir::StencilInfo& gi = got.info;
+  const ir::StencilInfo& wi = want.info;
+  EXPECT_EQ(gi.inputs, wi.inputs) << what;
+  EXPECT_EQ(gi.outputs, wi.outputs) << what;
+  EXPECT_EQ(gi.scalars_read, wi.scalars_read) << what;
+  EXPECT_EQ(gi.flops_per_point, wi.flops_per_point) << what;
+  EXPECT_EQ(gi.order, wi.order) << what;
+  EXPECT_EQ(gi.radius, wi.radius) << what;
+  EXPECT_EQ(gi.num_io_arrays, wi.num_io_arrays) << what;
+  EXPECT_EQ(gi.num_statements, wi.num_statements) << what;
+  ASSERT_EQ(gi.arrays.size(), wi.arrays.size()) << what;
+  for (const auto& [name, a] : gi.arrays) {
+    const ir::ArrayAccessInfo& b = wi.arrays.at(name);
+    EXPECT_EQ(a.dims, b.dims) << what << " " << name;
+    EXPECT_EQ(a.read, b.read) << what << " " << name;
+    EXPECT_EQ(a.written, b.written) << what << " " << name;
+    EXPECT_EQ(a.radius, b.radius) << what << " " << name;
+    EXPECT_EQ(a.read_offsets.size(), b.read_offsets.size()) << what;
+    EXPECT_EQ(a.write_offsets.size(), b.write_offsets.size()) << what;
+  }
+  EXPECT_EQ(serialize_config(got.config), serialize_config(want.config))
+      << what;
+  EXPECT_EQ(got.domain, want.domain) << what;
+  EXPECT_EQ(got.dims, want.dims) << what;
+  EXPECT_EQ(got.radius, want.radius) << what;
+  EXPECT_EQ(placement_line(got), placement_line(want)) << what;
+  EXPECT_EQ(got.fold_groups, want.fold_groups) << what;
+  EXPECT_EQ(got.retimed, want.retimed) << what;
+  EXPECT_EQ(got.time_tile, want.time_tile) << what;
+  EXPECT_EQ(got.stage_flops, want.stage_flops) << what;
+  EXPECT_EQ(got.stage_radius, want.stage_radius) << what;
+  EXPECT_EQ(got.stage_expand, want.stage_expand) << what;
+  EXPECT_EQ(got.eff_halo, want.eff_halo) << what;
+  EXPECT_EQ(got.internal_arrays, want.internal_arrays) << what;
+  EXPECT_EQ(got.materialized_internals, want.materialized_internals) << what;
+  EXPECT_EQ(got.shmem_bytes_per_block, want.shmem_bytes_per_block) << what;
+  EXPECT_EQ(got.point_registers.locals, want.point_registers.locals) << what;
+  EXPECT_EQ(got.point_registers.operands, want.point_registers.operands)
+      << what;
+  EXPECT_EQ(got.point_registers.scheduling, want.point_registers.scheduling)
+      << what;
+  EXPECT_EQ(got.iterators, want.iterators) << what;
+}
+
+// The tuner's in-place build against the throwing one, over the stage-1
+// grid of every Table I stencil and of a folding stencil (both tilings x
+// blocks x unrolls, retime and fold on). One plan is carried through each
+// stencil's whole grid, as a sweep's participant carries its plan from
+// candidate to candidate, and before each grid config it also takes that
+// config with fold and retime off, a config the device cannot launch and
+// one whose occupancy target demotes arrays. try_configure must reject
+// exactly the configs configure throws PlanError on, and otherwise leave
+// every member equal to configure's fresh plan: nothing of the previous
+// configuration (fold groups, a demoted placement) may survive. Every
+// plan's register estimate, whose per-point terms the template derives
+// once per stage list, equals the estimate from the test's own walk of
+// the statement trees.
 TEST_F(AutotuneTest, TryConfigureMatchesConfigureOverTheStageOneGrid) {
   const TuneOptions opts;
-  std::int64_t configs = 0, rejected = 0;
+  std::vector<std::pair<std::string,
+                        std::pair<ir::Program, std::vector<ir::BoundStencil>>>>
+      cases;
   for (const auto& bench : stencils::paper_benchmarks()) {
-    const auto [prog, stages] = paper_stages(bench.name);
+    cases.push_back({bench.name, paper_stages(bench.name)});
+  }
+  const ir::Program folding = folding_program();
+  cases.push_back({"folding", {folding, transform::bind_all_calls(folding)}});
+
+  std::int64_t configs = 0, rejected = 0, fold_resets = 0, undemoted = 0;
+  for (const auto& [name, program] : cases) {
+    const auto& [prog, stages] = program;
     const codegen::StageTemplate tmpl(prog, stages);
     const int dims = static_cast<int>(prog.iterators.size());
     KernelConfig seed = codegen::config_from_pragma(prog,
@@ -355,6 +439,22 @@ TEST_F(AutotuneTest, TryConfigureMatchesConfigureOverTheStageOneGrid) {
                                                     dims);
     seed.retime = true;
     seed.fold = true;
+
+    codegen::KernelPlan reused;
+    // Configure `cfg` into `reused` and compare it with a fresh configure.
+    const auto check = [&](const KernelConfig& cfg) {
+      const std::string what = str_cat(name, " ", serialize_config(cfg));
+      const bool configured = codegen::try_configure(tmpl, cfg, dev_, reused);
+      std::optional<codegen::KernelPlan> fresh;
+      try {
+        fresh = codegen::configure(tmpl, cfg, dev_);
+      } catch (const PlanError&) {
+      }
+      EXPECT_EQ(configured, fresh.has_value()) << what;
+      if (configured && fresh) expect_same_plan(reused, *fresh, what);
+      return configured && fresh;
+    };
+
     for (const TilingScheme tiling :
          {TilingScheme::Spatial3D, TilingScheme::StreamSerial}) {
       const bool streaming = tiling != TilingScheme::Spatial3D;
@@ -368,37 +468,39 @@ TEST_F(AutotuneTest, TryConfigureMatchesConfigureOverTheStageOneGrid) {
           if (streaming) {
             cfg.block[static_cast<std::size_t>(cfg.stream_axis)] = 1;
           }
-          const std::string what =
-              str_cat(bench.name, " ", serialize_config(cfg));
+          const std::string what = str_cat(name, " ", serialize_config(cfg));
           ++configs;
 
-          const std::optional<codegen::KernelPlan> tried =
-              codegen::try_configure(tmpl, cfg, dev_);
-          std::optional<codegen::KernelPlan> thrown;
-          try {
-            thrown = codegen::configure(tmpl, cfg, dev_);
-          } catch (const PlanError&) {
-          }
-          ASSERT_EQ(tried.has_value(), thrown.has_value()) << what;
-          if (!tried) {
+          KernelConfig plain = cfg;
+          plain.fold = false;
+          plain.retime = false;
+          const bool had_folds = !reused.fold_groups.empty();
+          if (check(plain) && had_folds) ++fold_resets;
+
+          KernelConfig unlaunchable = cfg;
+          unlaunchable.block = {2 * dev_.max_threads_per_block, 1, 1};
+          EXPECT_FALSE(
+              codegen::try_configure(tmpl, unlaunchable, dev_, reused))
+              << what;
+
+          KernelConfig rationed = cfg;
+          rationed.target_occupancy = 1.0;
+          const std::string rationed_line =
+              check(rationed) ? placement_line(reused) : std::string();
+
+          if (!check(cfg)) {
             ++rejected;
             continue;
           }
-          EXPECT_EQ(serialize_config(tried->config),
-                    serialize_config(thrown->config))
-              << what;
-          EXPECT_EQ(tried->time_tile, thrown->time_tile) << what;
-          EXPECT_EQ(tried->retimed, thrown->retimed) << what;
-          EXPECT_EQ(tried->fold_groups, thrown->fold_groups) << what;
-          EXPECT_EQ(placement_line(*tried), placement_line(*thrown)) << what;
-          EXPECT_EQ(tried->shmem_bytes_per_block,
-                    thrown->shmem_bytes_per_block)
-              << what;
+          if (!rationed_line.empty() &&
+              rationed_line != placement_line(reused)) {
+            ++undemoted;
+          }
 
           const codegen::PointRegisters ref =
-              reference_point_registers(*tried);
+              reference_point_registers(reused);
           const gpumodel::RegisterEstimate est =
-              gpumodel::estimate_registers(*tried);
+              gpumodel::estimate_registers(reused);
           EXPECT_EQ(est.locals, ref.locals) << what;
           EXPECT_EQ(est.operands, ref.operands) << what;
           EXPECT_EQ(est.scheduling, ref.scheduling) << what;
@@ -410,15 +512,17 @@ TEST_F(AutotuneTest, TryConfigureMatchesConfigureOverTheStageOneGrid) {
               est.stream_planes + est.accumulators + est.prefetch;
           EXPECT_EQ(est.total, std::lround(std::clamp(total, 16.0, 1024.0)))
               << what;
-          EXPECT_EQ(est.total, gpumodel::estimate_registers(*thrown).total)
-              << what;
         }
       }
     }
   }
-  // Both outcomes occur, so neither half of the check is vacuous.
+  // Both outcomes occur, and the plan really carried fold groups and
+  // demoted arrays into configs that have neither, so no half of the
+  // check is vacuous.
   EXPECT_GT(rejected, 0);
   EXPECT_LT(rejected, configs);
+  EXPECT_GT(fold_resets, 0);
+  EXPECT_GT(undemoted, 0);
 }
 
 TEST_F(AutotuneTest, InfeasibleSpaceThrowsPlanError) {
@@ -429,6 +533,42 @@ TEST_F(AutotuneTest, InfeasibleSpaceThrowsPlanError) {
   };
   KernelConfig seed;
   EXPECT_THROW(hierarchical_tune(factory, seed, dev_, params_), PlanError);
+}
+
+TEST_F(AutotuneTest, TemplateWhoseAnalysisFailedTunesAsInfeasible) {
+  // A stage list without an output statement fails the template's
+  // analysis, and every configuration rethrows that PlanError. The
+  // template-backed factory reads it as infeasible, like a callable that
+  // throws: the tune rejects every candidate it enumerates, then ends in
+  // the tuner's own error, not in the analysis message.
+  const auto prog = stencils::benchmark_program("miniflux", 128);
+  std::vector<ir::BoundStencil> stages;
+  stages.push_back(ir::bind_call(prog, prog.steps[0].call));
+  for (auto& st : stages.front().stmts) st.declares_local = true;
+  const codegen::StageTemplate tmpl(prog, std::move(stages));
+  const PlanFactory factory(tmpl, dev_);
+  TuneOptions opts;
+  opts.max_block = 16;
+  opts.register_budgets = {64};
+
+  auto& collector = telemetry::Collector::global();
+  collector.enable();
+  collector.clear();
+  std::string what;
+  try {
+    hierarchical_tune(factory, KernelConfig{}, dev_, params_, opts);
+  } catch (const PlanError& e) {
+    what = e.what();
+  }
+  const auto counters = collector.counters();
+  collector.disable();
+  EXPECT_EQ(what, "autotuner found no feasible configuration");
+  const auto enumerated = counters.find("tuner.enumerated");
+  const auto infeasible = counters.find("tuner.infeasible");
+  ASSERT_NE(enumerated, counters.end());
+  ASSERT_NE(infeasible, counters.end());
+  EXPECT_GT(enumerated->second, 0);
+  EXPECT_EQ(infeasible->second, enumerated->second);
 }
 
 TEST_F(AutotuneTest, RandomTunerDeterministicAndFeasible) {

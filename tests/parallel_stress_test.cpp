@@ -1,10 +1,11 @@
-// Concurrency stress layer for the parallel tuner's building blocks: the
-// work-stealing TaskPool itself, and the shared state the evaluation
-// shards hammer — write-ahead journal, candidate runner, telemetry
-// counters. Run under ThreadSanitizer in CI; the assertions here pin the
-// *semantic* invariants (nothing lost, nothing double counted,
-// order-independent quarantine, crash-resume with jobs > 1) while TSAN
-// pins the memory model.
+// Concurrency stress layer: the work-stealing TaskPool itself, and the
+// tuner's shared state under concurrent use — write-ahead journal,
+// candidate runner, telemetry counters — plus the tuner's invariants at
+// jobs > 1 (the tuner runs its sweeps serially at any jobs value). Run
+// under ThreadSanitizer in CI; the assertions here pin the *semantic*
+// invariants (nothing lost, nothing double counted, order-independent
+// quarantine, crash-resume with jobs > 1) while TSAN pins the memory
+// model.
 
 #include <gtest/gtest.h>
 
@@ -51,7 +52,7 @@ TEST(TaskPoolTest, EveryIndexRunsExactlyOnce) {
 }
 
 TEST(TaskPoolTest, PoolIsReusableAcrossManyForEachCalls) {
-  // One pool spans both tuning stages; workers park between jobs rather
+  // One pool spans many for_each calls; workers park between jobs rather
   // than re-spawning. Hammer that transition.
   TaskPool pool(4);
   std::atomic<std::int64_t> sum{0};
@@ -245,7 +246,7 @@ TEST_F(ParallelResumeTest, TornTailJournalResumesUnderParallelTuning) {
   topts.max_unroll_bandwidth = 2;
   topts.register_budgets = {64};
 
-  // First run: journaled, parallel.
+  // First run: journaled, at jobs 4.
   autotune::TuneResult first;
   {
     robust::TuningJournal journal;
@@ -284,9 +285,9 @@ TEST_F(ParallelResumeTest, TornTailJournalResumesUnderParallelTuning) {
 // ---- telemetry counter identities under parallel tuning ------------------
 
 TEST(ParallelStressTest, EnumeratedEqualsEvaluatedPlusInfeasible) {
-  // The run-report invariant (telemetry/report.cpp) must survive the
-  // parallel commit path: every enumerated candidate is either evaluated
-  // or rejected as infeasible, exactly once, at any jobs value.
+  // The run-report invariant (telemetry/report.cpp): every enumerated
+  // candidate is either evaluated or rejected as infeasible, exactly
+  // once, at any jobs value.
   const auto dev = gpumodel::p100();
   const gpumodel::ModelParams params;
   Rng rng(0x77);
@@ -320,9 +321,6 @@ TEST(ParallelStressTest, EnumeratedEqualsEvaluatedPlusInfeasible) {
             counter("tuner.evaluated") + counter("tuner.infeasible"));
   EXPECT_EQ(counter("tuner.evaluated"),
             static_cast<std::int64_t>(r.total_evaluated()));
-  // The parallel run actually used the pool.
-  EXPECT_GT(counter("parallel.pools"), 0);
-  EXPECT_GT(counter("parallel.tasks"), 0);
 }
 
 }  // namespace

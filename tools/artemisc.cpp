@@ -76,10 +76,10 @@ int usage(const char* argv0) {
                "crash=0.2,timeout=0.05,seed=42\n"
                "                              (fs.fail/fs.enospc/fs.short/"
                "fs.crash_at hit the store)\n"
-               "       [--jobs N]             tuning parallelism (default: "
+               "       [--jobs N]             simulator parallelism (default: "
                "hardware threads;\n"
-               "                              same plan as --jobs 1 for "
-               "any N)\n"
+               "                              tuning runs serially, same "
+               "plan for any N)\n"
                "       [--trace out.json]     Chrome/Perfetto trace-event "
                "file\n"
                "       [--report out.json]    machine-readable run report\n"
@@ -320,9 +320,9 @@ int main(int argc, char** argv) {
     const gpumodel::ModelParams params;
     auto strat = driver::strategy_by_name(strategy_name);
 
-    // Tuning parallelism. 0 resolves to hardware concurrency; the chosen
-    // plan is identical for every value (deterministic ordered commit),
-    // so --jobs only changes wall-clock time.
+    // Simulator parallelism. 0 resolves to hardware concurrency; the
+    // tuner runs serially, so the chosen plan is identical for every
+    // value and --jobs only changes the simulator's wall-clock time.
     set_default_jobs(jobs);
 
     // --metrics reranks the tuning leaderboard by measured traffic; keep

@@ -33,7 +33,7 @@ int usage(const char* argv0) {
                "       [--strategy artemis|ppcg|stencilgen|global|"
                "global-stream]\n"
                "       [--device k40|p100|v100|a100|h100]\n"
-               "       [--jobs N]             tuning parallelism\n",
+               "       [--jobs N]             simulator parallelism\n",
                argv0);
   return 2;
 }
